@@ -43,6 +43,13 @@ class _InstanceError(Exception):
         self.code = code
 
 
+def _int(x) -> int:
+    # JSON numbers like 1.7 and values like "2" or true are refused, not coerced
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def load_instance(path: str) -> ActionSpec:
     """Read an instance file; raises :class:`_InstanceError` with exit code."""
     try:
@@ -55,11 +62,11 @@ def load_instance(path: str) -> ActionSpec:
     if not isinstance(raw, dict):
         raise _InstanceError("instance document must be an object", _PARSE_ERROR)
     try:
-        p = int(raw["p"])
-        torsion = tuple(int(x) for x in raw.get("torsion", []))
-        r = int(raw["r"])
-        s = int(raw["s"])
-        rows = [tuple(int(x) for x in row) for row in raw["L"]]
+        p = _int(raw["p"])
+        torsion = tuple(_int(x) for x in raw.get("torsion", []))
+        r = _int(raw["r"])
+        s = _int(raw["s"])
+        rows = [tuple(_int(x) for x in row) for row in raw["L"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise _InstanceError(f"malformed instance field: {exc}", _PARSE_ERROR)
     try:
@@ -166,6 +173,13 @@ def _component_json(desc) -> dict:
     return doc
 
 
+def _bound(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"search bound must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glaurent",
@@ -178,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("component")
     comp.add_argument("file")
     comp.add_argument("--degree", required=True, help="comma-separated degree entries")
-    comp.add_argument("--bound", type=int, default=10, help="representative search bound")
+    comp.add_argument("--bound", type=_bound, default=10, help="representative search bound")
     comp.add_argument("--json", action="store_true", dest="as_json")
     return parser
 

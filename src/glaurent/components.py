@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from .exactmat import (
     IntMatrix,
     Vec,
-    det_and_scaled_inverse,
     dot,
     integer_kernel,
     reduce_mod_lattice,
-    smith_normal_form,
+    unimodular_completion,
     vadd,
     vsub,
 )
@@ -54,16 +53,6 @@ class _Infinite:
 
 #: Sentinel dimension of an infinite dimensional component.
 INFINITE = _Infinite()
-
-
-@dataclass(frozen=True)
-class OmegaMap:
-    """Coordinate map from the degree-zero lattice to exponent vectors."""
-
-    matrix: IntMatrix
-
-    def apply(self, u: Vec) -> Vec:
-        return self.matrix.apply(u)
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,9 @@ def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
     dual = dual_cone(cone)
     if not dual.generators:
         return ()
-    omega = OmegaMap(kd.basis)
     basis = hilbert_basis(dual)
     return tuple(
-        sorted((Monomial(omega.apply(h)) for h in basis.elements), reverse=True)
+        sorted((Monomial(kd.basis.apply(h)) for h in basis.elements), reverse=True)
     )
 
 
@@ -162,21 +150,20 @@ def _component_with_representative(
     prune: bool,
 ) -> ComponentDescription:
     poly = build_polytope(kd, phi)
-    omega = OmegaMap(kd.basis)
     if is_bounded(poly):
         points = lattice_points(poly)
         monomials = sorted(
-            (Monomial(vadd(phi, omega.apply(u))) for u in points), reverse=True
+            (Monomial(vadd(phi, kd.basis.apply(u))) for u in points), reverse=True
         )
         return ComponentDescription(a, phi, FiniteBasis(tuple(monomials)))
-    quotient, section, units = _split_lineality(kd, poly)
+    quotient, lift, units = _split_lineality(kd, poly)
     points = _generating_points(quotient, prune)
     # lift through the zero section, then reduce each exponent vector
     # modulo the unit lattice; the result depends only on the component,
     # not on the representative
     seen: set[Vec] = set()
     for u_bar in points:
-        g = vadd(phi, omega.apply(section(u_bar)))
+        g = vadd(phi, lift.apply(u_bar))
         seen.add(reduce_mod_lattice(units, g))
     sa = sorted((Monomial(g) for g in seen), reverse=True)
     return ComponentDescription(
@@ -189,42 +176,25 @@ def _split_lineality(kd: KernelData, poly: Polyhedron):
 
     The polyhedron is invariant under translation along the common kernel of
     its defining rows, so it is a product of that subspace with a quotient
-    polyhedron whose recession cone is pointed.  Returns the quotient, an
-    integral section of the projection, and the exponent lattice of the
-    invertible monomials (the image of the lineality lattice).
+    polyhedron whose recession cone is pointed.  Returns the quotient, the
+    exponent map of an integral section of the projection (as a matrix), and
+    the exponent lattice of the invertible monomials (the image of the
+    lineality lattice).
     """
     l = kd.l
-    rays_mat = IntMatrix.from_rows([tuple(v) for v in kd.rays], l)
-    lin = integer_kernel(rays_mat)
+    lin = integer_kernel(IntMatrix.from_rows([tuple(v) for v in kd.rays], l))
     q = lin.cols
-    if q == 0:
-        def section(u_bar: Vec) -> Vec:
-            return u_bar
-
-        return poly, section, IntMatrix.from_columns([], kd.n)
-    u_mat, s, _ = smith_normal_form(lin)
-    assert all(s.rows[i][i] == 1 for i in range(q)), "lineality lattice saturated"
-    d_inv, scaled = det_and_scaled_inverse(u_mat)
-    assert abs(d_inv) == 1
-    inv_rows = [
-        tuple(d_inv * x for x in row) if d_inv == -1 else row
-        for row in scaled.rows
-    ]
-    inverse = IntMatrix.from_rows(inv_rows, l)
+    _, inverse = unimodular_completion(lin)
+    inverse_t = inverse.transpose()
     rows = []
     for a_vec, c in poly.rows:
-        transformed = inverse.transpose().apply(a_vec)
+        transformed = inverse_t.apply(a_vec)
         assert not any(transformed[:q]), "row must vanish on the lineality"
         rows.append((transformed[q:], c))
     quotient = Polyhedron(tuple(rows), l - q)
-
-    def section(u_bar: Vec) -> Vec:
-        return inverse.apply((0,) * q + u_bar)
-
-    units = IntMatrix.from_columns(
-        [kd.basis.apply(lin.col(j)) for j in range(q)], kd.n
-    )
-    return quotient, section, units
+    # the section sends u_bar to inverse @ (0, ..., 0, u_bar)
+    lift = kd.basis @ inverse.submatrix(range(l), range(q, l))
+    return quotient, lift, kd.basis @ lin
 
 
 def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:

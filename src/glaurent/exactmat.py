@@ -3,7 +3,9 @@
 Everything here is deterministic and exact: integer matrices are immutable
 tuples-of-tuples, rational work uses :class:`fractions.Fraction`, and no
 floating point ever appears.  The centrepiece is :func:`smith_normal_form`,
-which drives rank, integer kernels and integer linear solving.
+which drives integer kernels, integer linear solving and lattice completion.
+One fraction-free elimination gives determinants and adjugates, and one
+rational row reduction gives ranks and rational kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 
 
 class DimensionMismatch(ValueError):
@@ -72,10 +73,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(nrows)), cols)
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.rows)
@@ -222,37 +219,40 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def rank(a: IntMatrix) -> int:
-    """Rank over the rationals, read off the Smith normal form."""
-    _, s, _ = smith_normal_form(a)
-    return sum(1 for i in range(min(a.nrows, a.cols)) if s.rows[i][i])
+def _bareiss(a: IntMatrix) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of ``[a | I]``.
+
+    Returns ``(det(a), adjugate rows)``, or ``(0, [])`` when ``a`` is
+    singular.  Every division is exact (Bareiss, Math. Comp. 22, 1968): after
+    step ``k`` each entry is a ``(k+1)``-minor, and the right block ends as
+    ``det * inverse`` of the row-permuted matrix.
+    """
+    if a.nrows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = a.nrows
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, []
+        if piv != k:
+            _swap_rows(m, k, piv)
+            sign = -sign
+        row_k = m[k]
+        pk = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.nrows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    _swap_rows(m, k, i)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss(a)[0]
 
 
 def det_and_scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
@@ -261,37 +261,23 @@ def det_and_scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
     ``b`` is the adjugate of ``a``; its entries are always integers.  Raises
     :class:`SingularMatrix` when ``d == 0``.
     """
-    d = determinant(a)
+    d, adj = _bareiss(a)
     if d == 0:
         raise SingularMatrix("matrix has determinant 0")
-    n = a.nrows
-    inv = _rational_inverse(a)
-    b_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = inv[i][j] * d
-            assert x.denominator == 1
-            row.append(int(x))
-        b_rows.append(row)
-    return d, IntMatrix.from_rows(b_rows, n)
+    return d, IntMatrix.from_rows(adj, a.nrows)
 
 
-def _rational_inverse(a: IntMatrix) -> list[list[Fraction]]:
-    n = a.nrows
-    aug = [[Fraction(x) for x in a.rows[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k]), None)
-        if piv is None:
-            raise SingularMatrix("matrix has determinant 0")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
+def unimodular_completion(lattice: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return unimodular ``(u, u_inv)`` with ``u @ lattice`` zero below row ``q``.
+
+    ``lattice`` holds ``q`` independent columns spanning a saturated
+    sublattice, so ``u`` moves it onto the first ``q`` coordinates and the
+    first ``q`` columns of ``u_inv`` are a basis of it.
+    """
+    u, s, _ = smith_normal_form(lattice)
+    assert all(s.rows[i][i] == 1 for i in range(lattice.cols)), "lattice saturated"
+    d, adj = det_and_scaled_inverse(u)
+    return u, IntMatrix.from_rows([[d * x for x in row] for row in adj.rows], u.cols)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -328,27 +314,35 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vec | None:
 # rational elimination helpers
 
 
-def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rk = 0
-    col = 0
-    while col < ncols and rk < len(work):
+def _rref(rows: Iterable[Sequence[Fraction | int]], dim: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals.
+
+    Returns ``(work, pivots)``: row ``work[i]`` has a 1 in column
+    ``pivots[i]`` and zeros in every other pivot column; zero rows are
+    dropped.
+    """
+    work = [list(map(Fraction, r)) for r in rows if any(r)]
+    pivots: list[int] = []
+    for col in range(dim):
+        rk = len(pivots)
         piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
         if piv is None:
-            col += 1
             continue
         work[rk], work[piv] = work[piv], work[rk]
         pv = work[rk][col]
-        for i in range(rk + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / pv
+        work[rk] = [x / pv for x in work[rk]]
+        for i in range(len(work)):
+            if i != rk and work[i][col]:
+                f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
-        rk += 1
-        col += 1
-    return rk
+        pivots.append(col)
+    return work, pivots
+
+
+def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals."""
+    rows = list(rows)
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def rational_kernel_basis(rows: Iterable[Sequence[Fraction | int]], dim: int) -> list[Vec]:
@@ -358,27 +352,10 @@ def rational_kernel_basis(rows: Iterable[Sequence[Fraction | int]], dim: int) ->
     set to 1 in increasing column order, each vector scaled to be integral and
     primitive.
     """
-    work = [list(map(Fraction, r)) for r in rows if any(r)]
-    # RREF
-    pivots: list[int] = []
-    rk = 0
-    for col in range(dim):
-        piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        pv = work[rk][col]
-        work[rk] = [x / pv for x in work[rk]]
-        for i in range(len(work)):
-            if i != rk and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
-        pivots.append(col)
-        rk += 1
+    work, pivots = _rref(rows, dim)
     basis = []
-    pivot_set = set(pivots)
     for free in range(dim):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * dim
         vec[free] = Fraction(1)
@@ -386,43 +363,6 @@ def rational_kernel_basis(rows: Iterable[Sequence[Fraction | int]], dim: int) ->
             vec[pcol] = -work[rix][free]
         basis.append(primitive(tuple(vec)))
     return basis
-
-
-def rational_solve(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> RatVec | None:
-    """One exact solution of the linear system, or ``None`` if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if len(rows) != len(rhs):
-        raise DimensionMismatch("system and right-hand side disagree")
-    if not rows:
-        return ()
-    dim = len(rows[0])
-    work = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    pivots: list[int] = []
-    rk = 0
-    for col in range(dim):
-        piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        pv = work[rk][col]
-        work[rk] = [x / pv for x in work[rk]]
-        for i in range(len(work)):
-            if i != rk and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
-        pivots.append(col)
-        rk += 1
-    for i in range(rk, len(work)):
-        if work[i][dim]:
-            return None
-    sol = [Fraction(0)] * dim
-    for rix, pcol in enumerate(pivots):
-        sol[pcol] = work[rix][dim]
-    return tuple(sol)
 
 
 def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
@@ -437,19 +377,19 @@ def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
     matrix with no columns leaves ``v`` unchanged.
     """
     v = tuple(int(x) for x in v)
-    k = basis.cols
-    if k == 0:
+    if basis.cols == 0:
         return v
-    cols = [basis.col(j) for j in range(k)]
-    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in cols) for ci in cols]
-    if determinant(IntMatrix.from_rows(gram, k)) == 0:
-        raise SingularMatrix("lattice basis columns are dependent")
-    rhs = [sum(a * b for a, b in zip(ci, v)) for ci in cols]
-    z = rational_solve(gram, rhs)
-    assert z is not None
-    shift = tuple((2 * x + 1) // 2 for x in z)
+    cols = [basis.col(j) for j in range(basis.cols)]
+    gram = IntMatrix.from_rows([tuple(dot(ci, cj) for cj in cols) for ci in cols], len(cols))
+    try:
+        # the Gram matrix of independent columns is positive definite: d > 0
+        d, adj = det_and_scaled_inverse(gram)
+    except SingularMatrix:
+        raise SingularMatrix("lattice basis columns are dependent") from None
+    # floor(z + 1/2) for the exact solution z = adj @ rhs / d
+    shift = [(2 * x + d) // (2 * d) for x in adj.apply(tuple(dot(ci, v) for ci in cols))]
     return tuple(
-        v[i] - sum(cols[j][i] * shift[j] for j in range(k))
+        v[i] - sum(col[i] * x for col, x in zip(cols, shift))
         for i in range(basis.nrows)
     )
 

@@ -17,7 +17,7 @@ from .exactmat import (
     IntMatrix,
     Vec,
     integer_kernel,
-    rank,
+    rational_rank,
     reduce_mod_lattice,
     solve_integer,
 )
@@ -195,10 +195,9 @@ def associated_vectors(spec: ActionSpec) -> KernelData:
     Raises :class:`NotFaithful` when the weight matrix has rank below the
     number of grading components.
     """
-    if rank(spec.weights) < spec.m:
-        raise NotFaithful(
-            f"weight matrix rank {rank(spec.weights)} below grading rank {spec.m}"
-        )
+    rk = rational_rank(spec.weights.rows)
+    if rk < spec.m:
+        raise NotFaithful(f"weight matrix rank {rk} below grading rank {spec.m}")
     stacked = _stacked_matrix(spec)
     full = integer_kernel(stacked)
     # the projection to the first n coordinates is injective on this kernel:

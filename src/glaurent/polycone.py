@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .exactmat import (
     IntMatrix,
@@ -23,8 +23,8 @@ from .exactmat import (
     primitive,
     rational_kernel_basis,
     rational_rank,
-    smith_normal_form,
     solve_integer,
+    unimodular_completion,
     vsub,
 )
 
@@ -150,24 +150,13 @@ def cone_contains(cone: RationalCone, v: Vec) -> bool:
 # Fourier-Motzkin elimination and lattice points
 
 
-def _normalize_row(a: Vec, c: int, tighten: bool) -> tuple[Vec, int] | None:
-    g = 0
-    for x in a:
-        g = _gcd(g, x)
-    if g == 0:
-        return (a, c)
+def _normalize_row(a: Vec, c: int, tighten: bool) -> tuple[Vec, int]:
+    g = gcd(*a)
     if tighten and g > 1:
         # dividing by the content is valid for integer points: <a,u> >= c
         # with a = g*a' forces <a',u> >= ceil(c/g).
         return (tuple(x // g for x in a), -((-c) // g))
     return (a, c)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _project_last(rows: list[tuple[Vec, int]], tighten: bool) -> list[tuple[Vec, int]]:
@@ -182,19 +171,13 @@ def _project_last(rows: list[tuple[Vec, int]], tighten: bool) -> list[tuple[Vec,
             pos.append((a, c))
         else:
             neg.append((a, c))
-    out: set[tuple[Vec, int]] = set()
-    for a, c in keep:
-        row = _normalize_row(a, c, tighten)
-        if row is not None:
-            out.add(row)
+    out = {_normalize_row(a, c, tighten) for a, c in keep}
     for ap, cp in pos:
         for an, cn in neg:
             alpha, beta = ap[-1], an[-1]
             coeffs = tuple(-beta * x + alpha * y for x, y in zip(ap[:-1], an[:-1]))
             rhs = -beta * cp + alpha * cn
-            row = _normalize_row(coeffs, rhs, tighten)
-            if row is not None:
-                out.add(row)
+            out.add(_normalize_row(coeffs, rhs, tighten))
     return sorted(out)
 
 
@@ -300,38 +283,18 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
 def _hilbert_with_lineality(cone: RationalCone, lin_basis: list[Vec]) -> tuple[Vec, ...]:
     d = cone.dim
     q = len(lin_basis)
-    if q == d:
-        # the cone is all of space; its monoid is the full lattice
-        out = []
-        for j in range(d):
-            e = tuple(1 if i == j else 0 for i in range(d))
-            out.append(e)
-            out.append(tuple(-x for x in e))
-        return tuple(sorted(out))
     lattice = integer_kernel(
         IntMatrix.from_rows(rational_kernel_basis(lin_basis, d), d)
     )
     # unimodular change of coordinates moving the lineality lattice onto the
     # first q coordinates; the quotient cone in the remaining ones is pointed
-    u_mat, s, _ = smith_normal_form(lattice)
-    assert all(s.rows[i][i] == 1 for i in range(q)), "lineality lattice saturated"
-    transformed = [u_mat.apply(g) for g in cone.generators]
-    quotient = RationalCone(tuple(g[q:] for g in transformed), d - q)
-    inner = hilbert_basis(quotient)
-    d_inv, scaled = det_and_scaled_inverse(u_mat)
-    assert abs(d_inv) == 1
-
-    def back(v: Vec) -> Vec:
-        image = scaled.apply(v)
-        return tuple(x * d_inv for x in image) if d_inv == -1 else image
-
-    out = []
-    for h in inner.elements:
-        out.append(back((0,) * q + h))
+    u_mat, u_inv = unimodular_completion(lattice)
+    quotient = RationalCone(tuple(u_mat.apply(g)[q:] for g in cone.generators), d - q)
+    out = [u_inv.apply((0,) * q + h) for h in hilbert_basis(quotient).elements]
     for j in range(q):
-        e = tuple(1 if i == j else 0 for i in range(d))
-        out.append(back(e))
-        out.append(back(tuple(-x for x in e)))
+        e = u_inv.col(j)
+        out.append(e)
+        out.append(tuple(-x for x in e))
     return tuple(sorted(set(out)))
 
 
@@ -438,11 +401,19 @@ def rays_in_halfspace(vectors, dim: int) -> ContainedWith | _NotContained:
             base.append(v)
         else:
             rest.append(v)
-    mat = IntMatrix.from_rows(base, dim)
+    seed = dual_basis_vectors(base, dim)[0]
+    return is_in_halfspace_extend(rest, RationalCone(tuple(base), dim), seed)
+
+
+def dual_basis_vectors(rays, l: int) -> list[Vec]:
+    """Primitive integer multiples of the basis dual to the first ``l`` rays."""
+    mat = IntMatrix.from_rows([tuple(rays[i]) for i in range(l)], l)
     det, scaled = det_and_scaled_inverse(mat)
     sign = 1 if det > 0 else -1
-    seed = primitive(tuple(sign * scaled.rows[i][0] for i in range(dim)))
-    return is_in_halfspace_extend(rest, RationalCone(tuple(base), dim), seed)
+    return [
+        primitive(tuple(sign * scaled.rows[i][j] for i in range(l)))
+        for j in range(l)
+    ]
 
 
 # ---------------------------------------------------------------------------

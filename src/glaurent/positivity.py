@@ -14,19 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactmat import (
-    IntMatrix,
-    Vec,
-    det_and_scaled_inverse,
-    primitive,
-    rational_rank,
-)
+from .exactmat import IntMatrix, Vec, det_and_scaled_inverse, rational_rank
 from .grading import ActionSpec, KernelData, associated_vectors
 from .polycone import (
     NOT_CONTAINED,
     ContainedWith,
     HalfspaceOutcome,
     RationalCone,
+    dual_basis_vectors,
     is_in_halfspace_extend,
     rays_in_halfspace,
 )
@@ -162,7 +157,7 @@ def special_matrix(spec: ActionSpec) -> SpecialForm:
     return SpecialForm(l1, l3, l4, d, gamma, delta)
 
 
-def positivity_set(l1: IntMatrix, d: int, steps: int | None = None) -> PositivityChain:
+def positivity_set(l1: IntMatrix, d: int, steps: int) -> PositivityChain:
     """Accumulate the sign chain over the first ``steps`` rows of ``l1``.
 
     At each step a front position enters the chain when its pairing with
@@ -172,9 +167,7 @@ def positivity_set(l1: IntMatrix, d: int, steps: int | None = None) -> Positivit
     """
     if d <= 0:
         raise ValueError("block determinant must be positive")
-    p, l = l1.nrows, l1.cols
-    if steps is None:
-        steps = p
+    l = l1.cols
     sets: list[frozenset[int]] = []
     covered: set[int] = set()
     untouched = set(range(l))
@@ -194,18 +187,6 @@ def positivity_set(l1: IntMatrix, d: int, steps: int | None = None) -> Positivit
         if covered == everything:
             return PositivityChain(tuple(sets), l + k + 1, frozenset())
     return PositivityChain(tuple(sets), l + steps, frozenset(everything - covered))
-
-
-def dual_basis_vectors(rays, l: int) -> list[Vec]:
-    """Primitive integer multiples of the basis dual to the first ``l`` rays."""
-    front = [tuple(rays[i]) for i in range(l)]
-    mat = IntMatrix.from_rows(front, l)
-    det, scaled = det_and_scaled_inverse(mat)
-    sign = 1 if det > 0 else -1
-    return [
-        primitive(tuple(sign * scaled.rows[i][j] for i in range(l)))
-        for j in range(l)
-    ]
 
 
 def halfspace_from_chain(chain: PositivityChain, rays) -> HalfspaceOutcome:

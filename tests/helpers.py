@@ -5,7 +5,9 @@ machinery: cone membership is decided by a self-contained Fourier-Motzkin
 elimination over ``Fraction``, box point sets are enumerated by a
 meet-in-the-middle scan, and monoid factorizations are checked by bounded
 search.  The helpers exist so that acceptance tests compare the library
-against genuinely separate computations.
+against genuinely separate computations.  The ``Fraction`` references at the
+end are the straightforward rational routes that the library's integer
+elimination replaced, kept for differential tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from glaurent.exactmat import (
     IntMatrix,
     determinant,
     dot,
-    rank,
+    rational_rank,
     smith_normal_form,
     solve_integer,
 )
@@ -50,7 +52,7 @@ def random_spec(
         torsion = tuple(rng.choice([2, 3, 4]) for _ in range(t))
         rows = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m)]
         weights = IntMatrix.from_rows(rows, n)
-        if rank(weights) == m:
+        if rational_rank(weights.rows) == m:
             return ActionSpec(r, s, p, torsion, weights)
 
 
@@ -232,3 +234,41 @@ def image_box_points(basis: IntMatrix, bound: int):
     mod_rows = [u.rows[i] for i in range(l) if diag[i] > 1]
     moduli = [d for d in diag if d > 1]
     return constrained_box_points(exact_rows, mod_rows, moduli, n, bound)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer elimination routines
+
+
+def fraction_inverse(rows):
+    """Inverse of a square matrix by Gauss-Jordan over ``Fraction``, or
+    ``None`` when it is singular."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def fraction_reduce_mod_lattice(columns, v):
+    """``v`` minus the lattice point ``sum_j floor(z_j + 1/2) * columns[j]``,
+    where ``z`` solves the normal equations exactly over ``Fraction``."""
+    gram = [[dot(ci, cj) for cj in columns] for ci in columns]
+    inv = fraction_inverse(gram)
+    rhs = [dot(ci, v) for ci in columns]
+    z = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
+    shift = [(2 * x + 1) // 2 for x in z]
+    return tuple(
+        v[i] - sum(c[i] * x for c, x in zip(columns, shift)) for i in range(len(v))
+    )

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .exactmat import Vec, dot
-from .grading import ActionSpec, DegreeVector, Monomial, degree
+from glaurent.exactmat import Vec, dot
+from glaurent.grading import ActionSpec, DegreeVector, Monomial, degree
 
 
 def _ranges(spec: ActionSpec, bound: int) -> list[range]:

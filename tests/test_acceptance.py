@@ -20,6 +20,13 @@ from helpers import (
     random_spec,
     strictly_positive_functional,
 )
+from oracle import (
+    count_monomials_of_degree,
+    has_nonconstant_invariant,
+    is_nonneg_combination,
+    minimal_generators,
+    monomials_of_degree,
+)
 
 from glaurent.components import (
     FiniteBasis,
@@ -45,13 +52,6 @@ from glaurent.grading import (
     associated_vectors,
     degree,
     find_representative,
-)
-from glaurent.oracle import (
-    count_monomials_of_degree,
-    has_nonconstant_invariant,
-    is_nonneg_combination,
-    minimal_generators,
-    monomials_of_degree,
 )
 from glaurent.polycone import (
     NOT_CONTAINED,

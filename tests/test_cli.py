@@ -123,6 +123,35 @@ class TestExitCodes:
         assert code == 4
         assert "within bound 4" in out
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("L", [[1.7, 1]]),
+            ("L", [[True, 1]]),
+            ("L", [["1", 1]]),
+            ("torsion", [2.9]),
+            ("torsion", ["2"]),
+            ("r", "2"),
+            ("s", 0.0),
+            ("p", True),
+        ],
+    )
+    def test_non_integer_values_rejected(self, tmp_path, field, value):
+        doc = {"p": 0, "torsion": [2], "r": 2, "s": 0, "L": [[1, 1]]}
+        doc[field] = value
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["kernel", str(path)])
+        assert (code, out) == (2, "")
+        assert "expected an integer" in err
+
+    def test_negative_bound_is_parse_error(self, capsys):
+        code, out, _ = run_cli(
+            ["component", str(DATA / "standard.json"), "--degree", "-1", "--bound", "-1"]
+        )
+        assert (code, out) == (2, "")
+        assert "search bound must be >= 0" in capsys.readouterr().err
+
     def test_positivity_on_all_valid_files(self):
         for name in ["standard.json", "mixed_sign.json", "identity.json",
                      "mod2.json", "laurent_excess.json"]:

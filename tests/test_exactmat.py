@@ -1,8 +1,11 @@
 """Unit tests for the exact integer/rational matrix layer."""
 
-from fractions import Fraction
+import random
+from itertools import permutations
+from math import prod
 
 import pytest
+from helpers import fraction_inverse, fraction_reduce_mod_lattice
 
 from glaurent.exactmat import (
     DimensionMismatch,
@@ -13,13 +16,12 @@ from glaurent.exactmat import (
     dot,
     integer_kernel,
     primitive,
-    rank,
     rational_kernel_basis,
     rational_rank,
-    rational_solve,
     reduce_mod_lattice,
     smith_normal_form,
     solve_integer,
+    unimodular_completion,
     vadd,
     vscale,
     vsub,
@@ -96,9 +98,10 @@ class TestRankDeterminant:
         assert determinant(IntMatrix.from_rows([(5,)], 1)) == 5
 
     def test_rank(self):
-        assert rank(IntMatrix.from_rows([(1, 2), (2, 4)], 2)) == 1
-        assert rank(IntMatrix.from_rows([(1, 0), (0, 1)], 2)) == 2
-        assert rank(IntMatrix.from_rows([], 3)) == 0
+        assert rational_rank([(1, 2), (2, 4)]) == 1
+        assert rational_rank([(1, 0), (0, 1)]) == 2
+        assert rational_rank([]) == 0
+        assert rational_rank([(0, 0, 0)]) == 0
         assert rational_rank([(1, 2), (2, 4), (0, 1)]) == 2
 
     def test_det_and_scaled_inverse(self):
@@ -111,6 +114,30 @@ class TestRankDeterminant:
         assert prod.rows == ((-2, 0), (0, -2))
         with pytest.raises(SingularMatrix):
             det_and_scaled_inverse(IntMatrix.from_rows([(1, 2), (2, 4)], 2))
+
+    def test_adjugate_is_det_times_fraction_inverse(self):
+        rng = random.Random(7)
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            a = IntMatrix.from_rows(rows, n)
+            leibniz = sum(
+                (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                * prod(rows[i][p[i]] for i in range(n))
+                for p in permutations(range(n))
+            )
+            assert determinant(a) == leibniz
+            inv = fraction_inverse(rows)
+            if inv is None:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    det_and_scaled_inverse(a)
+                continue
+            d, adj = det_and_scaled_inverse(a)
+            assert d == leibniz
+            assert [list(r) for r in adj.rows] == [[d * x for x in row] for row in inv]
+        assert singular > 0
 
 
 class TestSmithNormalForm:
@@ -156,11 +183,6 @@ class TestKernelAndSolve:
         assert solve_integer(b, (1, 3)) == (1, 1)
         assert solve_integer(b, (1, 2)) is None
 
-    def test_rational_solve(self):
-        sol = rational_solve([(2, 1), (1, 1)], (3, 2))
-        assert sol == (Fraction(1), Fraction(1))
-        assert rational_solve([(1, 1), (2, 2)], (1, 3)) is None
-
     def test_rational_kernel_basis(self):
         basis = rational_kernel_basis([(1, 1, 0)], 3)
         assert len(basis) == 2
@@ -173,6 +195,10 @@ class TestReduceModLattice:
     def test_axis_lattice(self):
         basis = IntMatrix.from_columns([(1, 0)], 2)
         assert reduce_mod_lattice(basis, (5, 3)) == (0, 3)
+        # exact half-integers round up, so both ends of a tie agree
+        doubled = IntMatrix.from_columns([(2, 0)], 2)
+        assert reduce_mod_lattice(doubled, (1, 5)) == (-1, 5)
+        assert reduce_mod_lattice(doubled, (-1, 5)) == (-1, 5)
 
     def test_empty_lattice(self):
         basis = IntMatrix.from_columns([], 2)
@@ -185,7 +211,44 @@ class TestReduceModLattice:
         shifted = vadd(v, vadd(vscale(3, (2, 1)), vscale(-2, (0, 3))))
         assert reduce_mod_lattice(basis, v) == reduce_mod_lattice(basis, shifted)
 
+    def test_matches_fraction_normal_equations(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            columns = [
+                tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(1, n))
+            ]
+            if rational_rank(columns) < len(columns):
+                continue
+            v = tuple(rng.randint(-30, 30) for _ in range(n))
+            basis = IntMatrix.from_columns(columns, n)
+            assert reduce_mod_lattice(basis, v) == fraction_reduce_mod_lattice(columns, v)
+            checked += 1
+        assert checked > 150
+
     def test_dependent_columns_rejected(self):
         basis = IntMatrix.from_columns([(1, 1), (2, 2)], 2)
         with pytest.raises(SingularMatrix):
             reduce_mod_lattice(basis, (0, 0))
+
+
+class TestUnimodularCompletion:
+    def test_contract_on_random_saturated_lattices(self):
+        rng = random.Random(5)
+        seen_q = set()
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            rows = [
+                tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, n))
+            ]
+            lattice = integer_kernel(IntMatrix.from_rows(rows, n))
+            q = lattice.cols
+            seen_q.add((q, n))
+            u, u_inv = unimodular_completion(lattice)
+            assert u @ u_inv == IntMatrix.identity(n)
+            assert abs(determinant(u)) == 1
+            assert not any(any(row) for row in (u @ lattice).rows[q:])
+        assert any(q == 0 for q, _ in seen_q) and any(q == n for q, n in seen_q)

@@ -2,15 +2,16 @@
 
 import pytest
 
-from glaurent.exactmat import IntMatrix
-from glaurent.grading import ActionSpec, DegreeVector, degree
-from glaurent.oracle import (
+from oracle import (
     count_monomials_of_degree,
     has_nonconstant_invariant,
     is_nonneg_combination,
     minimal_generators,
     monomials_of_degree,
 )
+
+from glaurent.exactmat import IntMatrix
+from glaurent.grading import ActionSpec, DegreeVector, degree
 
 
 def spec_of(r, s, p, torsion, rows):
