@@ -6,14 +6,16 @@ certificate, and ``component`` describes one graded component.  Output is
 deterministic byte for byte; everything is sorted and sign-normalized by the
 underlying library.
 
-Exit codes: 0 ok, 2 parse error, 3 invalid instance, 4 degree not attained
-within the search bound.
+Exit codes: 0 ok, 1 output pipe closed by the reader (nothing is printed to
+stderr), 2 parse error, 3 invalid instance, 4 degree not attained within the
+search bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .components import (
@@ -32,6 +34,7 @@ from .grading import (
 )
 from .positivity import positivity_test
 
+_BROKEN_PIPE = 1
 _PARSE_ERROR = 2
 _INVALID_INSTANCE = 3
 _DEGREE_NOT_FOUND = 4
@@ -221,5 +224,14 @@ def main(argv=None, out=None, err=None) -> int:
         return _INVALID_INSTANCE
 
 
-def entry_point() -> None:  # pragma: no cover - thin wrapper
-    raise SystemExit(main())
+def entry_point() -> None:
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the rest of stdout, including the
+        # interpreter's final flush, to devnull so that exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = _BROKEN_PIPE
+    raise SystemExit(code)

@@ -50,7 +50,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(int_vector(row) for row in rows)
         if cols is None:
             if not rows:
                 raise DimensionMismatch("empty matrix needs an explicit column count")
@@ -59,7 +59,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
-        columns = [tuple(int(x) for x in c) for c in columns]
+        columns = [int_vector(c) for c in columns]
         if nrows is None:
             if not columns:
                 raise DimensionMismatch("empty matrix needs an explicit row count")
@@ -398,6 +398,19 @@ def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
 # vector helpers
 
 
+def int_vector(values: Iterable) -> Vec:
+    """``values`` as a tuple, refusing every entry whose type is not ``int``.
+
+    Floats, fractions, strings and booleans raise :class:`TypeError` rather
+    than being truncated or coerced.
+    """
+    v = tuple(values)
+    for x in v:
+        if type(x) is not int:
+            raise TypeError(f"expected an integer, got {x!r}")
+    return v
+
+
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionMismatch("dot product of different lengths")
@@ -421,6 +434,9 @@ def primitive(v: Sequence[Fraction | int]) -> Vec:
 
     The direction (sign) is preserved; the zero vector maps to itself.
     """
+    if all(type(x) is int for x in v):
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g > 1 else tuple(v)
     fracs = [Fraction(x) for x in v]
     if not any(fracs):
         return (0,) * len(fracs)

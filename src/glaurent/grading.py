@@ -16,6 +16,7 @@ from .exactmat import (
     DimensionMismatch,
     IntMatrix,
     Vec,
+    int_vector,
     integer_kernel,
     rational_rank,
     reduce_mod_lattice,
@@ -114,7 +115,7 @@ class DegreeVector:
 
     @classmethod
     def from_values(cls, spec: ActionSpec, values) -> "DegreeVector":
-        values = tuple(int(x) for x in values)
+        values = int_vector(values)
         if len(values) != spec.m:
             raise DimensionMismatch(
                 f"degree has {len(values)} entries, expected {spec.m}"
@@ -148,7 +149,7 @@ class Monomial:
 
 def degree(spec: ActionSpec, exponents) -> DegreeVector:
     """Multidegree of the monomial with the given exponent vector."""
-    exponents = tuple(int(x) for x in exponents)
+    exponents = int_vector(exponents)
     image = spec.weights.apply(exponents)
     return DegreeVector(image[: spec.p], image[spec.p :], spec.torsion)
 
@@ -188,12 +189,14 @@ def _stacked_matrix(spec: ActionSpec) -> IntMatrix:
     return IntMatrix.from_rows(rows, spec.n + spec.t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def associated_vectors(spec: ActionSpec) -> KernelData:
     """Compute the degree-zero exponent lattice of a faithful action.
 
     Raises :class:`NotFaithful` when the weight matrix has rank below the
-    number of grading components.
+    number of grading components.  The cache keeps the 256 most recently used
+    specs: its hits come from repeated queries on one spec, and unbounded it
+    held about 2 KB for every spec ever seen.
     """
     rk = rational_rank(spec.weights.rows)
     if rk < spec.m:

@@ -1,8 +1,9 @@
 """Rational polyhedral cones, Hilbert bases, and lattice points.
 
-Everything here is exact: cones are given by integer generators, polyhedra by
-integer inequality rows ``<a, u> >= c``, and all eliminations and duals are
-computed over the rationals with no floating point anywhere.
+Everything here is exact and free of floating point: cones are given by
+integer generators, polyhedra by integer inequality rows ``<a, u> >= c``.
+Fourier-Motzkin elimination and the double-description pass behind duals run
+in integers; spans, ranks and kernels are computed over the rationals.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .exactmat import (
     IntMatrix,
     SingularMatrix,
     Vec,
+    _rref,
     det_and_scaled_inverse,
     dot,
     integer_kernel,
@@ -111,29 +113,71 @@ def intersect(first: Polyhedron, second: Polyhedron) -> Polyhedron:
 def dual_cone(cone: RationalCone) -> RationalCone:
     """The cone of vectors pairing nonnegatively with every generator.
 
-    The result's generators are canonical: the rays of the pointed part are
-    chosen inside the span of the input generators, and both signs of a
-    primitive basis of the orthogonal complement give the lineality.
+    The result's generators are canonical: the primitive extreme rays of the
+    pointed part, which lies inside the span of the input generators, and
+    both signs of a primitive basis of the orthogonal complement as the
+    lineality.
+
+    The rays come from one incremental double-description pass in integers
+    (Motzkin et al. 1953; Fukuda and Prodon 1996).  The first independent
+    generators form a basis ``B`` of the span, and the pass works in the
+    coordinates ``y`` of ``c = B y``, where generator ``g`` becomes the row
+    ``(<g, b>)_b``.  The basis rows cut out a simplicial cone whose rays are
+    the columns of the Gram matrix's adjugate.  Each further row keeps the
+    rays on its nonnegative side and adds one ray on its hyperplane for
+    every adjacent pair of rays on opposite sides.
     """
     gens = cone.generators
     d = cone.dim
     lineality = rational_kernel_basis(gens, d)
     k = d - len(lineality)
-    rays: set[Vec] = set()
+    rays: list[Vec] = []
     if k >= 1:
-        # Each extreme ray of the pointed part is cut out by k-1 of the
-        # generators together with the span constraints.
-        for subset in combinations(gens, k - 1):
-            constraints = list(subset) + lineality
-            kernel = rational_kernel_basis(constraints, d)
-            if len(kernel) != 1:
+        _, pivots = _rref([tuple(g[i] for g in gens) for i in range(d)], len(gens))
+        basis = [gens[j] for j in pivots]
+        rows = [tuple(dot(g, b) for b in basis) for g in gens]
+        det, adj = det_and_scaled_inverse(IntMatrix.from_rows([rows[j] for j in pivots], k))
+        sign = 1 if det > 0 else -1
+        # ray i of the simplicial cone is tight on every basis row but its own;
+        # tight sets are bitmasks over generator indices
+        tight_all = sum(1 << j for j in pivots)
+        current = [
+            (primitive(tuple(sign * x for x in adj.col(i))), tight_all & ~(1 << j))
+            for i, j in enumerate(pivots)
+        ]
+        chosen = set(pivots)
+        for j, a in enumerate(rows):
+            if j in chosen or not current:
                 continue
-            c = kernel[0]
-            pairings = [dot(c, g) for g in gens]
-            if all(x >= 0 for x in pairings):
-                rays.add(c)
-            elif all(x <= 0 for x in pairings):
-                rays.add(tuple(-x for x in c))
+            bit = 1 << j
+            kept, pos, neg = [], [], []
+            for y, tight in current:
+                s = sum(x * z for x, z in zip(a, y))
+                if s > 0:
+                    kept.append((y, tight))
+                    pos.append((y, tight, s))
+                elif s < 0:
+                    neg.append((y, tight, s))
+                else:
+                    kept.append((y, tight | bit))
+            masks = [tight for _, tight in current]
+            for yp, tp, sp in pos:
+                for yn, tn, sn in neg:
+                    common = tp & tn
+                    # adjacent iff no third ray is tight on all of the common
+                    # rows (Fukuda-Prodon, Prop. 7); fewer than k - 2 common
+                    # rows cannot have rank k - 2, a cheaper way to say no
+                    if common.bit_count() < k - 2:
+                        continue
+                    if sum(1 for t in masks if t & common == common) > 2:
+                        continue
+                    ray = tuple(sp * x - sn * z for x, z in zip(yn, yp))
+                    kept.append((primitive(ray), common | bit))
+            current = kept
+        rays = [
+            primitive(tuple(sum(yi * b[t] for yi, b in zip(y, basis)) for t in range(d)))
+            for y, _ in current
+        ]
     generators = sorted(rays)
     for w in lineality:
         generators.append(w)
@@ -326,8 +370,9 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
         for pt in _lattice_points_unchecked(box):
             if any(pt):
                 candidates.add(pt)
+    dual = dual_cone(cone).generators
     weight = [0] * d
-    for u in dual_cone(cone).generators:
+    for u in dual:
         weight = [a + b for a, b in zip(weight, u)]
     weight_v = tuple(weight)
     ordered = sorted(candidates, key=lambda v: (dot(weight_v, v), v))
@@ -336,7 +381,7 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
         reducible = False
         for w in kept:
             diff = vsub(v, w)
-            if any(diff) and cone_contains(cone, diff):
+            if any(diff) and all(dot(u, diff) >= 0 for u in dual):
                 reducible = True
                 break
         if not reducible:

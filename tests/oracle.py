@@ -5,15 +5,20 @@ enumerate bounded exponent boxes directly (splitting the box in half and
 meeting in the middle where counting is all that's needed) and test monoid
 membership by exhaustive descent.  They are deliberately slow-but-obvious
 counterparts to the exact machinery, for use on small instances.
+
+The one exception is :func:`dual_cone_by_subsets`, the rational subset
+enumeration that the library's double-description dual replaced, kept as its
+differential reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
-from glaurent.exactmat import Vec, dot
+from glaurent.exactmat import Vec, dot, rational_kernel_basis
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, degree
+from glaurent.polycone import RationalCone
 
 
 def _ranges(spec: ActionSpec, bound: int) -> list[range]:
@@ -88,8 +93,9 @@ def is_nonneg_combination(target: Vec, vectors, functional: Vec) -> bool:
     heights = [heights[i] for i in order]
     memo: dict[tuple[Vec, int], bool] = {}
 
-    def descend(rem: Vec, idx: int) -> bool:
-        budget = dot(functional, rem)
+    # budget is <functional, rem>, passed down rather than recomputed: the
+    # pairing is linear, so subtracting c*v from rem subtracts c*h from it
+    def descend(rem: Vec, budget: int, idx: int) -> bool:
         if budget < 0:
             return False
         if budget == 0:
@@ -103,13 +109,14 @@ def is_nonneg_combination(target: Vec, vectors, functional: Vec) -> bool:
         v, h = vecs[idx], heights[idx]
         found = False
         for c in range(budget // h + 1):
-            if descend(tuple(x - c * y for x, y in zip(rem, v)), idx + 1):
+            if descend(tuple(x - c * y for x, y in zip(rem, v)), budget - c * h, idx + 1):
                 found = True
                 break
         memo[key] = found
         return found
 
-    return descend(tuple(target), 0)
+    target = tuple(target)
+    return descend(target, dot(functional, target), 0)
 
 
 def minimal_generators(vectors, functional: Vec) -> tuple[Vec, ...]:
@@ -121,3 +128,35 @@ def minimal_generators(vectors, functional: Vec) -> tuple[Vec, ...]:
         if not others or not is_nonneg_combination(v, others, functional):
             kept.append(v)
     return tuple(kept)
+
+
+def dual_cone_by_subsets(cone: RationalCone) -> RationalCone:
+    """The dual cone, by trying every ``k-1`` subset of the generators.
+
+    Each extreme ray of the pointed part is cut out by ``k-1`` generators
+    together with the span constraints, ``k`` being the rank of the span;
+    the lineality is both signs of a primitive basis of the orthogonal
+    complement.
+    """
+    gens = cone.generators
+    d = cone.dim
+    lineality = rational_kernel_basis(gens, d)
+    k = d - len(lineality)
+    rays: set[Vec] = set()
+    if k >= 1:
+        for subset in combinations(gens, k - 1):
+            constraints = list(subset) + lineality
+            kernel = rational_kernel_basis(constraints, d)
+            if len(kernel) != 1:
+                continue
+            c = kernel[0]
+            pairings = [dot(c, g) for g in gens]
+            if all(x >= 0 for x in pairings):
+                rays.add(c)
+            elif all(x <= 0 for x in pairings):
+                rays.add(tuple(-x for x in c))
+    generators = sorted(rays)
+    for w in lineality:
+        generators.append(w)
+        generators.append(tuple(-x for x in w))
+    return RationalCone(tuple(sorted(generators)), d)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from glaurent.cli import load_instance, main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_CASES = {
@@ -194,3 +198,28 @@ class TestJsonOutput:
         code, out, _ = run_cli(["kernel", str(DATA / "identity.json")])
         assert code == 0
         assert out == "l = 0, kernel trivial\n"
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        # about 85 KB of module generators, more than a pipe buffer holds
+        doc = {"p": 1, "torsion": [], "r": 4, "s": 0, "L": [[5, -7, 3, -4]]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "glaurent", "component", str(path), "--degree", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+        )
+        try:
+            assert proc.stdout.read(10) == b"degree: (1"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""

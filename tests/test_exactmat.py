@@ -1,6 +1,7 @@
 """Unit tests for the exact integer/rational matrix layer."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import prod
 
@@ -76,6 +77,13 @@ class TestIntMatrix:
 
     def test_identity(self):
         assert IntMatrix.identity(3).apply((4, 5, 6)) == (4, 5, 6)
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, Fraction(3, 1), "1"])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(TypeError, match="expected an integer"):
+            IntMatrix.from_rows([[bad, 1]], 2)
+        with pytest.raises(TypeError, match="expected an integer"):
+            IntMatrix.from_columns([(1, 2), (3, bad)], 2)
 
 
 class TestVectors:

@@ -1,5 +1,7 @@
 """Unit tests for degree maps, the degree-zero lattice, and representatives."""
 
+from fractions import Fraction
+
 import pytest
 
 from glaurent.exactmat import DimensionMismatch, IntMatrix, solve_integer
@@ -59,6 +61,14 @@ class TestDegreeVector:
         assert a.free == () and a.torsion == (1,)
         with pytest.raises(DimensionMismatch):
             DegreeVector.from_values(spec, [1, 2])
+
+    @pytest.mark.parametrize("bad", [2.9, 3.0, True, Fraction(3, 1), "3"])
+    def test_non_integer_values_rejected(self, bad):
+        spec = ActionSpec(2, 0, 1, (3,), IntMatrix.from_rows([(1, 1), (0, 1)], 2))
+        with pytest.raises(TypeError, match="expected an integer"):
+            DegreeVector.from_values(spec, [1, bad])
+        with pytest.raises(TypeError, match="expected an integer"):
+            degree(spec, [bad, 1])
 
 
 class TestMonomial:

@@ -1,5 +1,10 @@
 """Unit tests for polyhedra, cones, Hilbert bases, and half-space tests."""
 
+import random
+
+import pytest
+from oracle import dual_cone_by_subsets
+
 from glaurent.polycone import (
     NOT_CONTAINED,
     ContainedWith,
@@ -50,6 +55,74 @@ class TestDualCone:
         for u in dual_cone(c).generators:
             for g in c.generators:
                 assert dot(u, g) >= 0
+
+
+def random_cone(rng: random.Random, d: int) -> RationalCone:
+    """A seeded cone in dimension ``d`` with 0-10 generators.
+
+    One cone in four has a span of lower rank, one in four contains a line
+    ``±w`` (the shape ``is_in_halfspace_extend`` builds), and one in eight
+    also gets the negated sum of its generators, which makes the dual ``{0}``
+    whenever the generators span.  Half the cones are shuffled, so that a
+    line is also cut early in the double-description pass, where rays tight
+    on both ``w`` and ``-w`` need the combinatorial adjacency test.
+    """
+    line = rng.random() < 0.25
+    closed = rng.random() < 0.125
+    g = rng.randint(0, 10 - 2 * line - closed)
+    if rng.random() < 0.25:
+        base = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d))]
+        gens = [
+            tuple(sum(rng.randint(-2, 2) * b[i] for b in base) for i in range(d))
+            for _ in range(g)
+        ]
+    else:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(g)]
+    if line:
+        w = tuple(rng.randint(-2, 2) for _ in range(d))
+        gens += [w, tuple(-x for x in w)]
+    if gens and closed:
+        gens.append(tuple(-sum(col) for col in zip(*gens)))
+    if rng.random() < 0.5:
+        rng.shuffle(gens)
+    return RationalCone(tuple(gens), d)
+
+
+class TestDualConeDifferential:
+    """The double-description dual against the subset enumeration it replaced."""
+
+    # 2,050 cones, fewer where the subset enumeration is slowest
+    @pytest.mark.parametrize("d, count", [(1, 300), (2, 400), (3, 400), (4, 400),
+                                          (5, 300), (6, 250)])
+    def test_matches_subset_enumeration(self, d, count):
+        rng = random.Random(1000 + d)
+        for _ in range(count):
+            cone = random_cone(rng, d)
+            assert dual_cone(cone) == dual_cone_by_subsets(cone), cone
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            # k = 1: a ray, and a line, in a lower-rank span
+            (((1, 2, 0),), 3),
+            (((1, 2, 0), (-2, -4, 0)), 3),
+            (((3,),), 1),
+            # a generator repeated up to positive or negative scaling
+            (((1, 1), (2, 2), (1, 0)), 2),
+            (((1, 1), (-3, -3), (1, 0)), 2),
+            (((1, 0, 1), (2, 0, 2), (0, 1, 0), (0, 3, 0)), 3),
+            # a line cut first: rays tight on both (0, -1, 1, 0) and its
+            # negative share two tight rows without being adjacent
+            (((0, -1, 1, 0), (0, 1, -1, 0), (1, 0, 1, 0), (0, 1, -1, 1),
+              (1, -1, 1, -1), (0, -1, -1, -1), (-1, -1, -1, -1)), 4),
+            # no generators, and a dual that is {0}
+            ((), 3),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), 3),
+        ],
+    )
+    def test_explicit_cases(self, gens, dim):
+        cone = RationalCone(gens, dim)
+        assert dual_cone(cone) == dual_cone_by_subsets(cone)
 
 
 class TestPolyhedron:
