@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from .exactmat import (
     IntMatrix,
     Vec,
-    dot,
     integer_kernel,
     reduce_mod_lattice,
     unimodular_completion,
     vadd,
-    vsub,
 )
 from .grading import (
     ActionSpec,
@@ -29,6 +27,7 @@ from .grading import (
     Monomial,
     RepresentativeNotFound,
     associated_vectors,
+    build_polytope,
     find_representative,
 )
 from .polycone import (
@@ -93,16 +92,6 @@ class ComponentDescription:
     kind: FiniteBasis | ModuleGenerators | NotInQ
 
 
-def build_polytope(kd: KernelData, phi: Vec) -> Polyhedron:
-    """The polyhedron whose lattice points index the component's monomials.
-
-    One row per polynomial variable: the pairing with that variable's ray
-    must not push the exponent below zero.
-    """
-    rows = tuple((v, -phi[i]) for i, v in enumerate(kd.rays))
-    return Polyhedron(rows, kd.l)
-
-
 def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
     """Canonical ring generators of the degree-zero component.
 
@@ -131,8 +120,8 @@ def component(
     Finds a canonical exponent vector of degree ``a`` (or reports
     :class:`NotInQ`), then returns a :class:`FiniteBasis` when the component
     is finite dimensional and :class:`ModuleGenerators` otherwise.  With
-    ``prune`` the module generators are thinned by removing points that
-    visibly factor through a degree-zero generator.
+    ``prune`` the module generators are the minimal ones: no generator is
+    another generator times a degree-zero monomial.
     """
     kd = associated_vectors(spec)
     try:
@@ -203,11 +192,16 @@ def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:
     Every lattice point of the polyhedron is one of these plus a monoid
     combination of the recession cone's Hilbert basis: the points are cut
     from an exactly-supported region around (lattice core) + (box spanned
-    by the recession Hilbert basis), clipped to the polyhedron itself.
+    by the recession Hilbert basis), clipped to the polyhedron itself.  With
+    ``prune`` they are the minimal generators instead: the lattice core of
+    :func:`polytope_part`, the points that are no other point of the
+    polyhedron plus a nonzero recession monoid element.
     """
     if is_bounded(poly):
         return lattice_points(poly)
     core, _, recession_hb = polytope_part(poly)
+    if prune:
+        return list(core)
     region = intersect(
         poly,
         support_hull_rows(
@@ -217,33 +211,7 @@ def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:
             poly.dim,
         ),
     )
-    points = lattice_points(region)
-    if prune:
-        points = _prune_points(points, poly, recession_hb.elements)
-    return points
-
-
-def _prune_points(points, poly: Polyhedron, hb_elements) -> list[Vec]:
-    """Drop points that are a Hilbert basis element above another solution.
-
-    Only strict elements — those not orthogonal to every defining row — are
-    used for reduction, so the pass terminates and the kept set still
-    generates.
-    """
-    weight = [0] * poly.dim
-    for a, _ in poly.rows:
-        weight = [x + y for x, y in zip(weight, a)]
-    strict = [h for h in hb_elements if dot(tuple(weight), h) > 0]
-
-    def inside(u: Vec) -> bool:
-        return all(dot(a, u) >= c for a, c in poly.rows)
-
-    kept = []
-    for u in points:
-        if any(inside(vsub(u, h)) for h in strict):
-            continue
-        kept.append(u)
-    return kept
+    return lattice_points(region)
 
 
 def component_dimension(

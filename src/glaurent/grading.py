@@ -4,7 +4,8 @@ A diagonal action of a product of multiplicative groups and finite cyclic
 groups on a mixed polynomial/Laurent ring is described by an integer weight
 matrix.  This module turns that data into a grading: the degree map on
 monomials, the lattice of exponent vectors of degree-zero monomials, and a
-bounded search for a monomial of a prescribed degree.
+bounded search for a monomial of a prescribed degree, which enumerates the
+lattice points of the polytope cut by the search box, by Fourier-Motzkin.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .exactmat import (
     rational_rank,
     reduce_mod_lattice,
     solve_integer,
+    vadd,
 )
+from .polycone import Polyhedron, _lattice_points_unchecked, intersect
 
 
 class InvalidTorsion(ValueError):
@@ -211,6 +214,16 @@ def associated_vectors(spec: ActionSpec) -> KernelData:
     return KernelData(basis, basis.rows[: spec.r])
 
 
+def build_polytope(kd: KernelData, phi: Vec) -> Polyhedron:
+    """The polyhedron whose lattice points index the component's monomials.
+
+    One row per polynomial variable: the pairing with that variable's ray
+    must not push the exponent below zero.
+    """
+    rows = tuple((v, -phi[i]) for i, v in enumerate(kd.rays))
+    return Polyhedron(rows, kd.l)
+
+
 def _colex_key(v: Vec) -> Vec:
     return tuple(reversed(v))
 
@@ -220,15 +233,22 @@ def find_representative(
 ) -> Vec:
     """Exponent vector of a monomial of degree ``a``, or raise.
 
-    The result is canonical: among all valid exponent vectors differing from
-    a particular solution by a lattice element within the search box, the one
-    with colexicographically smallest exponents is returned.  Polynomial
-    variables must have nonnegative exponents; Laurent variables are free.
+    The result is canonical: among all valid exponent vectors ``phi0 + K z``
+    with ``z`` in the box ``|z_k| <= search_bound`` around a norm-reduced
+    particular solution ``phi0``, the one with colexicographically smallest
+    exponents is returned.  Polynomial variables must have nonnegative
+    exponents; Laurent variables are free.  The candidates are the lattice
+    points of the polytope cut by the search box, by Fourier-Motzkin.
 
     Raises :class:`RepresentativeNotFound` — with ``conclusive=True`` when
     ``a`` is not in the image of the degree map at all, and
     ``conclusive=False`` when the bounded lattice search found nothing.
+    ``search_bound`` must be an ``int`` (else :class:`TypeError`) and at
+    least 0 (else :class:`ValueError`).
     """
+    int_vector((search_bound,))  # the library's integer rule: TypeError
+    if search_bound < 0:
+        raise ValueError(f"search bound must be >= 0, got {search_bound}")
     if len(a.moduli) != spec.t or a.moduli != spec.torsion:
         raise DimensionMismatch("degree vector does not match the action's torsion")
     if len(a.free) != spec.p:
@@ -238,32 +258,23 @@ def find_representative(
     if sol is None:
         raise RepresentativeNotFound(search_bound, conclusive=True)
     phi0 = _recentre(kd, sol[: spec.n])
-    best: Vec | None = None
-    for z in _box(kd.l, search_bound):
-        cand = tuple(
-            phi0[i] + sum(kd.basis.rows[i][k] * z[k] for k in range(kd.l))
-            for i in range(spec.n)
-        )
-        if any(cand[i] < 0 for i in range(spec.r)):
-            continue
-        if best is None or _colex_key(cand) < _colex_key(best):
-            best = cand
-    if best is None:
+    l = kd.l
+    # the rows +-z_k >= -search_bound make the region bounded
+    box = Polyhedron(
+        tuple(
+            (tuple(sign if j == k else 0 for j in range(l)), -search_bound)
+            for k in range(l)
+            for sign in (1, -1)
+        ),
+        l,
+    )
+    points = _lattice_points_unchecked(intersect(build_polytope(kd, phi0), box))
+    if not points:
         raise RepresentativeNotFound(search_bound, conclusive=False)
-    return best
+    return min((vadd(phi0, kd.basis.apply(z)) for z in points), key=_colex_key)
 
 
 def _recentre(kd: KernelData, phi0: Vec) -> Vec:
     # integer solving can return points arbitrarily far from the origin; the
     # bounded search box is only useful around a norm-reduced point
     return reduce_mod_lattice(kd.basis, phi0)
-
-
-def _box(dim: int, bound: int):
-    """All integer points of the centered box [-bound, bound]^dim."""
-    if dim == 0:
-        yield ()
-        return
-    for rest in _box(dim - 1, bound):
-        for x in range(-bound, bound + 1):
-            yield rest + (x,)

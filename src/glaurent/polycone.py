@@ -109,7 +109,7 @@ def intersect(first: Polyhedron, second: Polyhedron) -> Polyhedron:
     return Polyhedron(first.rows + second.rows, first.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def dual_cone(cone: RationalCone) -> RationalCone:
     """The cone of vectors pairing nonnegatively with every generator.
 
@@ -125,7 +125,8 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     ``(<g, b>)_b``.  The basis rows cut out a simplicial cone whose rays are
     the columns of the Gram matrix's adjugate.  Each further row keeps the
     rays on its nonnegative side and adds one ray on its hyperplane for
-    every adjacent pair of rays on opposite sides.
+    every adjacent pair of rays on opposite sides.  The cache keeps the 1024
+    most recently used cones.
     """
     gens = cone.generators
     d = cone.dim
@@ -293,12 +294,13 @@ def _lattice_points_unchecked(poly: Polyhedron) -> list[Vec]:
 # Hilbert bases
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Generators of the monoid of lattice points of the cone.
 
     Cones with lineality are handled by splitting off the lineality lattice;
-    see :class:`HilbertBasis` for what minimality means in that case.
+    see :class:`HilbertBasis` for what minimality means in that case.  The
+    cache keeps the 1024 most recently used cones.
     """
     gens = cone.generators
     if not gens:

@@ -6,9 +6,13 @@ meeting in the middle where counting is all that's needed) and test monoid
 membership by exhaustive descent.  They are deliberately slow-but-obvious
 counterparts to the exact machinery, for use on small instances.
 
-The one exception is :func:`dual_cone_by_subsets`, the rational subset
-enumeration that the library's double-description dual replaced, kept as its
-differential reference.
+The exceptions are the brute-force routines that the library replaced, kept
+as differential references: :func:`dual_cone_by_subsets`, the rational
+subset enumeration behind the double-description dual;
+:func:`find_representative_by_box`, the scan of every point of the search
+box behind the Fourier-Motzkin representative search; and
+:func:`prune_points`, the filter that thinned module generators down to the
+lattice core of the polyhedron.
 """
 
 from __future__ import annotations
@@ -16,9 +20,26 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 
-from glaurent.exactmat import Vec, dot, rational_kernel_basis
-from glaurent.grading import ActionSpec, DegreeVector, Monomial, degree
-from glaurent.polycone import RationalCone
+from glaurent.exactmat import (
+    DimensionMismatch,
+    Vec,
+    dot,
+    rational_kernel_basis,
+    solve_integer,
+    vsub,
+)
+from glaurent.grading import (
+    ActionSpec,
+    DegreeVector,
+    KernelData,
+    Monomial,
+    RepresentativeNotFound,
+    _colex_key,
+    _recentre,
+    _stacked_matrix,
+    degree,
+)
+from glaurent.polycone import Polyhedron, RationalCone
 
 
 def _ranges(spec: ActionSpec, bound: int) -> list[range]:
@@ -160,3 +181,65 @@ def dual_cone_by_subsets(cone: RationalCone) -> RationalCone:
         generators.append(w)
         generators.append(tuple(-x for x in w))
     return RationalCone(tuple(sorted(generators)), d)
+
+
+def find_representative_by_box(
+    spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = 10
+) -> Vec:
+    """The representative of ``grading.find_representative``, by trying every
+    one of the ``(2B+1)^l`` points of the search box."""
+    if len(a.moduli) != spec.t or a.moduli != spec.torsion:
+        raise DimensionMismatch("degree vector does not match the action's torsion")
+    if len(a.free) != spec.p:
+        raise DimensionMismatch("degree vector free part does not match the action")
+    stacked = _stacked_matrix(spec)
+    sol = solve_integer(stacked, a.lift())
+    if sol is None:
+        raise RepresentativeNotFound(search_bound, conclusive=True)
+    phi0 = _recentre(kd, sol[: spec.n])
+    best: Vec | None = None
+    for z in _box(kd.l, search_bound):
+        cand = tuple(
+            phi0[i] + sum(kd.basis.rows[i][k] * z[k] for k in range(kd.l))
+            for i in range(spec.n)
+        )
+        if any(cand[i] < 0 for i in range(spec.r)):
+            continue
+        if best is None or _colex_key(cand) < _colex_key(best):
+            best = cand
+    if best is None:
+        raise RepresentativeNotFound(search_bound, conclusive=False)
+    return best
+
+
+def _box(dim: int, bound: int):
+    """All integer points of the centered box [-bound, bound]^dim."""
+    if dim == 0:
+        yield ()
+        return
+    for rest in _box(dim - 1, bound):
+        for x in range(-bound, bound + 1):
+            yield rest + (x,)
+
+
+def prune_points(points, poly: Polyhedron, hb_elements) -> list[Vec]:
+    """Drop points that are a Hilbert basis element above another solution.
+
+    Only strict elements — those not orthogonal to every defining row — are
+    used for reduction, so the pass terminates and the kept set still
+    generates.
+    """
+    weight = [0] * poly.dim
+    for a, _ in poly.rows:
+        weight = [x + y for x, y in zip(weight, a)]
+    strict = [h for h in hb_elements if dot(tuple(weight), h) > 0]
+
+    def inside(u: Vec) -> bool:
+        return all(dot(a, u) >= c for a, c in poly.rows)
+
+    kept = []
+    for u in points:
+        if any(inside(vsub(u, h)) for h in strict):
+            continue
+        kept.append(u)
+    return kept

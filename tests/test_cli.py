@@ -200,6 +200,28 @@ class TestJsonOutput:
         assert out == "l = 0, kernel trivial\n"
 
 
+class TestParserReuse:
+    def test_second_call_matches_a_fresh_process(self):
+        # the parser is built once per process: options of one call must not
+        # leak into the next
+        path = str(DATA / "mixed_sign.json")
+        code, out, _ = run_cli(["component", path, "--degree", "3", "--bound", "3", "--json"])
+        assert code == 0 and json.loads(out)["kind"] == "module"
+        argv = ["component", path, "--degree", "3"]
+        code, out, err = run_cli(argv)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-m", "glaurent", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (code, out.encode(), err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+
+
 class TestClosedPipe:
     def test_reader_closing_early_exits_quietly(self, tmp_path):
         # about 85 KB of module generators, more than a pipe buffer holds

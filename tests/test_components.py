@@ -1,16 +1,27 @@
 """Unit tests for graded-component descriptions."""
 
+import random
+
+import pytest
+from helpers import random_spec
+from oracle import prune_points
+
+from glaurent import grading
 from glaurent.components import (
     INFINITE,
     FiniteBasis,
     ModuleGenerators,
     NotInQ,
+    _generating_points,
+    _split_lineality,
+    build_polytope,
     component,
     component_dimension,
     s0_generators,
 )
 from glaurent.exactmat import IntMatrix
-from glaurent.grading import ActionSpec, DegreeVector, Monomial, degree
+from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
+from glaurent.polycone import is_bounded, polytope_part
 
 
 def spec_of(r, s, p, torsion, rows):
@@ -125,3 +136,32 @@ class TestInfiniteComponents:
         pruned = component(MIXED, deg(MIXED, [3]), prune=True)
         assert set(pruned.kind.sa_gens) <= set(full.kind.sa_gens)
         assert Monomial((3, 0)) in set(pruned.kind.sa_gens)
+
+
+class TestPruneDifferential:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minimal_generators_equal_pruned_region(self, seed):
+        # 110 unbounded quotient polyhedra per seed, from 1-2 weight rows
+        # with torsion and Laurent columns: the pruned path returns the
+        # lattice core, which must be exactly what is left of the region
+        # scan after dropping every point above another by a recession
+        # Hilbert basis element
+        rng = random.Random(8300 + seed)
+        done = 0
+        while done < 110:
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=1, lo=-4, hi=4)
+            kd = associated_vectors(spec)
+            phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
+            phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
+            quotient, _, _ = _split_lineality(kd, build_polytope(kd, phi))
+            if is_bounded(quotient):
+                continue
+            region = _generating_points(quotient, prune=False)
+            recession_hb = polytope_part(quotient)[2].elements
+            expected = prune_points(region, quotient, recession_hb)
+            assert _generating_points(quotient, prune=True) == expected, spec
+            done += 1
+
+
+def test_build_polytope_is_defined_once():
+    assert build_polytope is grading.build_polytope

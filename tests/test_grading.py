@@ -1,9 +1,13 @@
 """Unit tests for degree maps, the degree-zero lattice, and representatives."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import random_spec
+from oracle import find_representative_by_box
 
+from glaurent.components import component, component_dimension
 from glaurent.exactmat import DimensionMismatch, IntMatrix, solve_integer
 from glaurent.grading import (
     ActionSpec,
@@ -24,6 +28,12 @@ def std() -> ActionSpec:
 
 def mod2() -> ActionSpec:
     return ActionSpec(2, 0, 0, (2,), IntMatrix.from_rows([(1, 1)], 2))
+
+
+IDENTITY = ActionSpec(2, 0, 2, (), IntMatrix.identity(2))
+LAURENT_L0 = ActionSpec(1, 1, 2, (), IntMatrix.identity(2))
+ZERO_RAY = ActionSpec(1, 1, 1, (), IntMatrix.from_rows([(1, 0)], 2))
+BOUNDS = (0, 1, 2, 3, 5, 8)
 
 
 class TestActionSpec:
@@ -172,6 +182,100 @@ class TestFindRepresentative:
         phi2 = find_representative(spec, kd, a, 10)
         assert phi1 == phi2
         assert degree(spec, phi1) == a
+
+    @pytest.mark.parametrize(
+        "bound, error",
+        [(-1, ValueError), (-7, ValueError), (2.0, TypeError), (True, TypeError),
+         (Fraction(2), TypeError), ("3", TypeError), (None, TypeError)],
+    )
+    @pytest.mark.parametrize("spec", [std(), IDENTITY], ids=["l1", "l0"])
+    def test_bad_search_bound_refused(self, spec, bound, error):
+        kd = associated_vectors(spec)
+        a = DegreeVector.from_values(spec, [1] * spec.m)
+        with pytest.raises(error):
+            find_representative(spec, kd, a, bound)
+        with pytest.raises(error):
+            component(spec, a, search_bound=bound)
+        with pytest.raises(error):
+            component_dimension(spec, a, search_bound=bound)
+
+
+def outcome(find, spec, kd, a, bound):
+    try:
+        return ("found", find(spec, kd, a, bound))
+    except RepresentativeNotFound as exc:
+        return ("not found", exc.bound, exc.conclusive)
+
+
+class TestRepresentativeAgainstBoxScan:
+    """The Fourier-Motzkin search returns exactly what scanning every point
+    of the search box returns: the same vector, or the same refusal."""
+
+    @pytest.mark.parametrize(
+        "spec, values, bound, expected",
+        [
+            # l = 0: the particular solution is the only candidate
+            (IDENTITY, [1, 2], 0, ("found", (1, 2))),
+            (IDENTITY, [1, 2], 4, ("found", (1, 2))),
+            (IDENTITY, [-1, 0], 4, ("not found", 4, False)),
+            (LAURENT_L0, [1, -3], 0, ("found", (1, -3))),
+            (LAURENT_L0, [-1, -3], 3, ("not found", 3, False)),
+            # B = 0: only the recentred particular solution (2, 2) is tried
+            (std(), [4], 0, ("found", (2, 2))),
+            # on the box boundary, z = -B, then inside the box
+            (std(), [4], 1, ("found", (3, 1))),
+            (std(), [4], 2, ("found", (4, 0))),
+            (std(), [4], 3, ("found", (4, 0))),
+            # x1 has a zero ray row: its exponent is fixed by the degree
+            (ZERO_RAY, [2], 0, ("found", (2, 0))),
+            (ZERO_RAY, [2], 3, ("found", (2, -3))),
+            (ZERO_RAY, [-1], 0, ("not found", 0, False)),
+            (ZERO_RAY, [-1], 5, ("not found", 5, False)),
+            (std(), [-1], 2, ("not found", 2, False)),
+        ],
+    )
+    def test_explicit_cases(self, spec, values, bound, expected):
+        kd = associated_vectors(spec)
+        a = DegreeVector.from_values(spec, values)
+        assert outcome(find_representative, spec, kd, a, bound) == expected
+        assert outcome(find_representative_by_box, spec, kd, a, bound) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances(self, seed):
+        # 175 instances per seed, lattice rank 0-4, torsion and Laurent
+        # columns; l = 4 with B = 8 has its own test, the scan is slow there
+        rng = random.Random(7100 + seed)
+        kinds = set()
+        ranks = set()
+        done = 0
+        while done < 175:
+            spec = random_spec(rng, max_n=5, max_p=2, max_t=1, min_r=0)
+            kd = associated_vectors(spec)
+            bound = rng.choice(BOUNDS)
+            if kd.l > 4 or (kd.l, bound) == (4, 8):
+                continue
+            a = DegreeVector.from_values(spec, [rng.randint(-6, 6) for _ in range(spec.m)])
+            fm = outcome(find_representative, spec, kd, a, bound)
+            box = outcome(find_representative_by_box, spec, kd, a, bound)
+            assert fm == box, (spec, a.lift(), bound)
+            kinds.add(fm[0] if fm[0] == "found" else fm[2])
+            ranks.add(kd.l)
+            done += 1
+        assert kinds == {"found", True, False}
+        assert ranks == {0, 1, 2, 3, 4}
+
+    def test_random_instances_largest_box(self):
+        rng = random.Random(7200)
+        done = 0
+        while done < 6:
+            spec = random_spec(rng, max_n=5, max_p=1, max_t=1, min_r=0)
+            kd = associated_vectors(spec)
+            if kd.l != 4:
+                continue
+            a = DegreeVector.from_values(spec, [rng.randint(-6, 6) for _ in range(spec.m)])
+            fm = outcome(find_representative, spec, kd, a, 8)
+            assert fm == outcome(find_representative_by_box, spec, kd, a, 8), spec
+            done += 1
 
 
 class TestKernelLatticeMeaning:
