@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .components import (
     FiniteBasis,
@@ -207,7 +208,8 @@ def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        args = _PARSER.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return _PARSE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -2,21 +2,20 @@
 
 Everything here is exact and free of floating point: cones are given by
 integer generators, polyhedra by integer inequality rows ``<a, u> >= c``.
-Fourier-Motzkin elimination and the double-description pass behind duals run
-in integers; spans, ranks and kernels are computed over the rationals.
+Fourier-Motzkin, the double-description dual and the pulling triangulation
+behind Hilbert bases run in integers; spans, ranks and kernels are computed
+over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import ceil, floor, gcd
+from itertools import product
+from math import gcd
 
 from .exactmat import (
     IntMatrix,
-    SingularMatrix,
     Vec,
     _rref,
     det_and_scaled_inverse,
@@ -25,6 +24,7 @@ from .exactmat import (
     primitive,
     rational_kernel_basis,
     rational_rank,
+    smith_normal_form,
     solve_integer,
     unimodular_completion,
     vsub,
@@ -270,10 +270,10 @@ def _lattice_points_unchecked(poly: Polyhedron) -> list[Vec]:
                 if residual > 0:
                     return
             elif coeff > 0:
-                bound = ceil(Fraction(residual, coeff))
+                bound = -(-residual // coeff)
                 lo = bound if lo is None else max(lo, bound)
             else:
-                bound = floor(Fraction(residual, coeff))
+                bound = residual // coeff
                 hi = bound if hi is None else min(hi, bound)
         if lo is None or hi is None:
             raise Unbounded("coordinate range not bounded during enumeration")
@@ -296,11 +296,12 @@ def _lattice_points_unchecked(poly: Polyhedron) -> list[Vec]:
 
 @lru_cache(maxsize=1024)
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
-    """Generators of the monoid of lattice points of the cone.
+    """Generators of the monoid of lattice points of the cone, sorted.
 
-    Cones with lineality are handled by splitting off the lineality lattice;
-    see :class:`HilbertBasis` for what minimality means in that case.  The
-    cache keeps the 1024 most recently used cones.
+    Pointed cones are read off one pulling triangulation; cones with
+    lineality are handled by splitting off the lineality lattice; see
+    :class:`HilbertBasis` for what minimality means in that case.  The cache
+    keeps the 1024 most recently used cones.
     """
     gens = cone.generators
     if not gens:
@@ -347,32 +348,49 @@ def _hilbert_with_lineality(cone: RationalCone, lin_basis: list[Vec]) -> tuple[V
 def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
     """Hilbert basis of a pointed, full-dimensional cone.
 
-    Candidates are the lattice points of the closed fundamental
-    parallelepipeds of all nonsingular generator subsets; these cover every
-    irreducible element.  A greedy pass ordered by a functional positive on
-    the cone then removes the reducible ones.
+    One pulling triangulation covers the cone, so every irreducible element
+    is a generator or a nonzero point of the half-open parallelepiped of a
+    simplex (Bruns-Gubeladze 2009, 2.C), listed as ``Z^d / G Z^d`` through
+    the SNF of the simplex matrix ``G`` (Bruns-Ichim 2010).  A greedy pass
+    ordered by a functional positive on the cone removes the reducible ones.
     """
     gens = cone.generators
     d = cone.dim
-    candidates: set[Vec] = set()
-    for subset in combinations(gens, d):
-        mat = IntMatrix.from_columns(list(subset), d)
-        try:
-            det, scaled = det_and_scaled_inverse(mat)
-        except SingularMatrix:
-            continue
-        sign = 1 if det > 0 else -1
-        bound = abs(det)
-        rows = []
-        for i in range(d):
-            row = tuple(sign * x for x in scaled.rows[i])
-            rows.append((row, 0))
-            rows.append((tuple(-x for x in row), -bound))
-        box = Polyhedron(tuple(rows), d)
-        for pt in _lattice_points_unchecked(box):
-            if any(pt):
-                candidates.add(pt)
     dual = dual_cone(cone).generators
+    # faces are generator bitmasks; a face's facets are its maximal proper face & mask
+    facets = [sum(1 << j for j, g in enumerate(gens) if dot(u, g) == 0) for u in dual]
+    memo: dict[int, list[list[int]]] = {0: [[]]}
+
+    def pulling(face: int) -> list[list[int]]:
+        # the lowest generator joined to each simplex of each facet missing it
+        if face not in memo:
+            apex = face & -face
+            subs = {face & m for m in facets} - {face}
+            memo[face] = [
+                [apex.bit_length() - 1] + simplex
+                for sub in subs
+                if not sub & apex and not any(sub != o and sub & o == sub for o in subs)
+                for simplex in pulling(sub)
+            ]
+        return memo[face]
+
+    candidates = set(gens)
+    for simplex in pulling((1 << len(gens)) - 1):
+        mat = IntMatrix.from_columns([gens[j] for j in simplex], d)
+        det, adj = det_and_scaled_inverse(mat)
+        size = abs(det)
+        if size == 1:
+            continue
+        # u @ mat @ v = s: the classes x = u^-1 c, 0 <= c_i < s_ii, of Z^d / mat Z^d
+        # give the points mat @ mu / |det|, mu = sign(det) adj x mod |det|
+        u, s, _ = smith_normal_form(mat)
+        det_u, adj_u = det_and_scaled_inverse(u)
+        to_mu = adj @ adj_u
+        scale = det_u if det > 0 else -det_u  # u^-1 = det(u) adj(u)
+        for c in product(*(range(s.rows[i][i]) for i in range(d))):
+            mu = [scale * x % size for x in to_mu.apply(c)]
+            if any(mu):
+                candidates.add(tuple(dot(row, mu) // size for row in mat.rows))
     weight = [0] * d
     for u in dual:
         weight = [a + b for a, b in zip(weight, u)]

@@ -10,9 +10,11 @@ The exceptions are the brute-force routines that the library replaced, kept
 as differential references: :func:`dual_cone_by_subsets`, the rational
 subset enumeration behind the double-description dual;
 :func:`find_representative_by_box`, the scan of every point of the search
-box behind the Fourier-Motzkin representative search; and
+box behind the Fourier-Motzkin representative search;
 :func:`prune_points`, the filter that thinned module generators down to the
-lattice core of the polyhedron.
+lattice core of the polyhedron; and :func:`hilbert_basis_by_subsets`, the
+closed parallelepipeds of every nonsingular generator subset, listed by
+Fourier-Motzkin, behind the triangulation Hilbert basis.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from itertools import combinations, product
 
 from glaurent.exactmat import (
     DimensionMismatch,
+    IntMatrix,
+    SingularMatrix,
     Vec,
+    det_and_scaled_inverse,
     dot,
     rational_kernel_basis,
     solve_integer,
@@ -39,7 +44,12 @@ from glaurent.grading import (
     _stacked_matrix,
     degree,
 )
-from glaurent.polycone import Polyhedron, RationalCone
+from glaurent.polycone import (
+    Polyhedron,
+    RationalCone,
+    _lattice_points_unchecked,
+    dual_cone,
+)
 
 
 def _ranges(spec: ActionSpec, bound: int) -> list[range]:
@@ -99,11 +109,14 @@ def has_nonconstant_invariant(spec: ActionSpec, bound: int) -> bool:
     return count_monomials_of_degree(spec, zero, bound) > 1
 
 
-def is_nonneg_combination(target: Vec, vectors, functional: Vec) -> bool:
-    """Whether ``target`` is a nonnegative integer combination of ``vectors``.
+def nonneg_combination_checker(vectors, functional: Vec):
+    """A test of whether a target is a nonnegative integer combination of
+    ``vectors``, as a function of the target.
 
     ``functional`` must pair strictly positively with every vector; it makes
-    the search finite by bounding each coefficient.
+    the search finite by bounding each coefficient.  One memo serves every
+    target: whether a remainder is reachable from a suffix of the vectors
+    does not depend on the target it came from.
     """
     vecs = [tuple(v) for v in vectors]
     heights = [dot(functional, v) for v in vecs]
@@ -136,8 +149,17 @@ def is_nonneg_combination(target: Vec, vectors, functional: Vec) -> bool:
         memo[key] = found
         return found
 
-    target = tuple(target)
-    return descend(target, dot(functional, target), 0)
+    def member(target) -> bool:
+        target = tuple(target)
+        return descend(target, dot(functional, target), 0)
+
+    return member
+
+
+def is_nonneg_combination(target: Vec, vectors, functional: Vec) -> bool:
+    """Whether ``target`` is a nonnegative integer combination of ``vectors``,
+    with a memo of its own; see :func:`nonneg_combination_checker`."""
+    return nonneg_combination_checker(vectors, functional)(target)
 
 
 def minimal_generators(vectors, functional: Vec) -> tuple[Vec, ...]:
@@ -242,4 +264,50 @@ def prune_points(points, poly: Polyhedron, hb_elements) -> list[Vec]:
         if any(inside(vsub(u, h)) for h in strict):
             continue
         kept.append(u)
+    return kept
+
+
+def hilbert_basis_by_subsets(cone: RationalCone) -> list[Vec]:
+    """Hilbert basis of a pointed, full-dimensional cone, from the closed
+    fundamental parallelepipeds of all nonsingular generator subsets.
+
+    These cover every irreducible element; a greedy pass ordered by a
+    functional positive on the cone then removes the reducible ones.
+    """
+    gens = cone.generators
+    d = cone.dim
+    candidates: set[Vec] = set()
+    for subset in combinations(gens, d):
+        mat = IntMatrix.from_columns(list(subset), d)
+        try:
+            det, scaled = det_and_scaled_inverse(mat)
+        except SingularMatrix:
+            continue
+        sign = 1 if det > 0 else -1
+        bound = abs(det)
+        rows = []
+        for i in range(d):
+            row = tuple(sign * x for x in scaled.rows[i])
+            rows.append((row, 0))
+            rows.append((tuple(-x for x in row), -bound))
+        box = Polyhedron(tuple(rows), d)
+        for pt in _lattice_points_unchecked(box):
+            if any(pt):
+                candidates.add(pt)
+    dual = dual_cone(cone).generators
+    weight = [0] * d
+    for u in dual:
+        weight = [a + b for a, b in zip(weight, u)]
+    weight_v = tuple(weight)
+    ordered = sorted(candidates, key=lambda v: (dot(weight_v, v), v))
+    kept: list[Vec] = []
+    for v in ordered:
+        reducible = False
+        for w in kept:
+            diff = vsub(v, w)
+            if any(diff) and all(dot(u, diff) >= 0 for u in dual):
+                reducible = True
+                break
+        if not reducible:
+            kept.append(v)
     return kept

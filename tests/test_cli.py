@@ -150,17 +150,43 @@ class TestExitCodes:
         assert "expected an integer" in err
 
     def test_negative_bound_is_parse_error(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["component", str(DATA / "standard.json"), "--degree", "-1", "--bound", "-1"]
         )
         assert (code, out) == (2, "")
-        assert "search bound must be >= 0" in capsys.readouterr().err
+        assert "search bound must be >= 0" in err
+        assert capsys.readouterr() == ("", "")
 
     def test_positivity_on_all_valid_files(self):
         for name in ["standard.json", "mixed_sign.json", "identity.json",
                      "mod2.json", "laurent_excess.json"]:
             code, out, _ = run_cli(["positivity", str(DATA / name)])
             assert code == 0 and out
+
+
+class TestParserStreams:
+    """argparse writes its usage, errors and help to ``main``'s own streams."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["component", "f.json"], "the following arguments are required: --degree"),
+            (["frobnicate"], "invalid choice"),
+            ([], "usage:"),
+        ],
+    )
+    def test_usage_error_goes_to_err(self, capsys, argv, message):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["component", "--help"]])
+    def test_help_goes_to_out(self, capsys, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage:")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestJsonOutput:

@@ -1,10 +1,11 @@
 """Unit tests for graded-component descriptions."""
 
+import itertools
 import random
 
 import pytest
 from helpers import random_spec
-from oracle import prune_points
+from oracle import nonneg_combination_checker, prune_points
 
 from glaurent import grading
 from glaurent.components import (
@@ -100,6 +101,25 @@ class TestS0Generators:
         assert gens
         for mono in gens:
             assert degree(spec, mono.exponents) == zero
+
+    def test_one_row_with_eight_variables(self):
+        """``[1, -1, 2, -2, 3, -3, 4, -4]``: degree zero, pairwise
+        incomparable, and generating every degree-zero point of ``[0, 2]^8``."""
+        spec = spec_of(8, 0, 1, (), [(1, -1, 2, -2, 3, -3, 4, -4)])
+        zero = DegreeVector((0,), (), ())
+        gens = [m.exponents for m in s0_generators(spec)]
+        assert gens
+        for g in gens:
+            assert degree(spec, g) == zero
+        for g, h in itertools.permutations(gens, 2):
+            assert not all(x <= y for x, y in zip(g, h)), (g, h)
+        generated = nonneg_combination_checker(gens, (1,) * 8)
+        points = 0
+        for u in itertools.product(range(3), repeat=8):
+            if degree(spec, u) == zero:
+                points += 1
+                assert generated(u), u
+        assert points > 100
 
 
 class TestInfiniteComponents:

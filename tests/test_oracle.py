@@ -1,5 +1,8 @@
 """Unit tests for the brute-force enumeration oracle."""
 
+import random
+from itertools import product
+
 import pytest
 
 from oracle import (
@@ -8,6 +11,7 @@ from oracle import (
     is_nonneg_combination,
     minimal_generators,
     monomials_of_degree,
+    nonneg_combination_checker,
 )
 
 from glaurent.exactmat import IntMatrix
@@ -81,3 +85,24 @@ class TestCombinationSearch:
         assert minimal_generators(vectors, (1, 1)) == ((1, 1),)
         staircase = [(2, 0), (1, 1), (0, 2), (2, 2), (3, 1)]
         assert sorted(minimal_generators(staircase, (1, 1))) == [(0, 2), (1, 1), (2, 0)]
+
+    def test_shared_memo_agrees_with_fresh_memos(self):
+        """One checker asked about every target of a box, in shuffled order,
+        answers as a fresh search per target does."""
+        rng = random.Random(2400)
+        answers = set()
+        for _ in range(80):
+            d = rng.randint(1, 3)
+            functional = tuple(rng.randint(1, 3) for _ in range(d))
+            vectors = [tuple(rng.randint(-2, 3) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+            vectors = [v for v in vectors if sum(a * b for a, b in zip(functional, v)) > 0]
+            if not vectors:
+                continue
+            targets = list(product(range(-1, 5), repeat=d))
+            rng.shuffle(targets)
+            shared = nonneg_combination_checker(vectors, functional)
+            for t in targets:
+                answer = shared(t)
+                assert answer == is_nonneg_combination(t, vectors, functional), (vectors, t)
+                answers.add(answer)
+        assert answers == {True, False}

@@ -1,10 +1,12 @@
 """Unit tests for polyhedra, cones, Hilbert bases, and half-space tests."""
 
 import random
+from itertools import product
 
 import pytest
-from oracle import dual_cone_by_subsets
+from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
+from glaurent import polycone
 from glaurent.polycone import (
     NOT_CONTAINED,
     ContainedWith,
@@ -21,7 +23,7 @@ from glaurent.polycone import (
     rays_in_halfspace,
     support_hull_rows,
 )
-from glaurent.exactmat import dot
+from glaurent.exactmat import dot, rational_kernel_basis, rational_rank
 
 
 class TestRationalCone:
@@ -154,6 +156,32 @@ class TestPolyhedron:
         assert sorted(lattice_points(both)) == [(0,), (1,), (2,)]
 
 
+class TestLatticePointsDifferential:
+    def test_matches_box_scan(self):
+        """Seeded polyhedra in dimensions 1-4: the box ``|u_i| <= B`` cut by
+        rows with coefficients in [-5, 5] and right-hand sides in [-8, 4],
+        against a direct scan of the box."""
+        rng = random.Random(2300)
+        nonempty = empty = 0
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            bound = rng.randint(0, 4)
+            rows = []
+            for i in range(d):
+                e = tuple(int(i == j) for j in range(d))
+                rows += [(e, -bound), (tuple(-x for x in e), -bound)]
+            for _ in range(rng.randint(1, 4)):
+                rows.append((tuple(rng.randint(-5, 5) for _ in range(d)), rng.randint(-8, 4)))
+            scan = [
+                u for u in product(range(-bound, bound + 1), repeat=d)
+                if all(dot(a, u) >= c for a, c in rows)
+            ]
+            assert lattice_points(Polyhedron(tuple(rows), d)) == scan, rows
+            nonempty += bool(scan)
+            empty += not scan
+        assert nonempty > 100 and empty > 50
+
+
 class TestHilbertBasis:
     def test_two_dim_cone(self):
         c = RationalCone(((1, 0), (1, 2)), 2)
@@ -167,8 +195,6 @@ class TestHilbertBasis:
         c = RationalCone(((2, 1), (1, 3)), 2)
         hb = hilbert_basis(c).elements
         # every cone point in a small box is a nonnegative integer combination
-        from itertools import product
-
         def gen(point, elems):
             if not any(point):
                 return True
@@ -188,6 +214,125 @@ class TestHilbertBasis:
         c = RationalCone(((1,), (-1,)), 1)
         elems = sorted(hilbert_basis(c).elements)
         assert elems == [(-1,), (1,)]
+
+
+def random_pointed_cone(
+    rng: random.Random, d: int, units: int, extra: int, span: int = 3
+) -> RationalCone:
+    """A seeded pointed cone in dimension ``d``, full-dimensional or not.
+
+    ``units`` of the unit vectors, then random vectors with entries in
+    ``[-span, span]`` up to ``d + 1`` to ``d + extra`` generators, each put
+    on the positive side of a random positive functional.  Half the cones
+    also get the sum of two generators, which is not an extreme ray.
+    """
+    w = [rng.randint(1, 3) for _ in range(d)]
+    gens = [tuple(int(i == j) for i in range(d)) for j in rng.sample(range(d), units)]
+    size = d + rng.randint(1, extra)
+    while len(gens) < size:
+        v = tuple(rng.randint(-span, span) for _ in range(d))
+        s = dot(w, v)
+        if s:
+            gens.append(v if s > 0 else tuple(-x for x in v))
+    if rng.random() < 0.5:
+        a, b = rng.sample(gens, 2)
+        gens.append(tuple(x + y for x, y in zip(a, b)))
+    rng.shuffle(gens)
+    return RationalCone(tuple(gens), d)
+
+
+def reference_hilbert_basis(cones, monkeypatch) -> list[tuple]:
+    """``hilbert_basis`` of each cone with the subset enumeration in place of
+    the triangulation, through the same lineality and span reductions."""
+    hilbert_basis.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(polycone, "_hilbert_pointed", hilbert_basis_by_subsets)
+        out = [hilbert_basis(c).elements for c in cones]
+    hilbert_basis.cache_clear()
+    return out
+
+
+class TestHilbertBasisDifferential:
+    """The triangulation Hilbert basis against the subset enumeration it replaced."""
+
+    # 1,010 pointed full-dimensional cones; in dimensions 5 and 6 most
+    # generators are unit vectors and the others have entries in [-1, 1],
+    # since the reference's Fourier-Motzkin pass over dense parallelepipeds
+    # takes from seconds to minutes per cone there
+    @pytest.mark.parametrize(
+        "d, count, units, extra, span",
+        [(1, 100, 0, 3, 3), (2, 250, 0, 4, 3), (3, 250, 0, 3, 3), (4, 150, 0, 2, 3),
+         (5, 160, 4, 2, 1), (6, 100, 5, 1, 1)],
+    )
+    def test_matches_subset_enumeration(self, d, count, units, extra, span):
+        rng = random.Random(2000 + d)
+        non_extreme = lifted = 0
+        cones = 0
+        while cones < count:
+            cone = random_pointed_cone(rng, d, rng.randint(units, d) if units else 0,
+                                       extra, span)
+            if rational_rank(cone.generators) < d:
+                continue
+            cones += 1
+            basis = hilbert_basis(cone).elements
+            assert list(basis) == sorted(hilbert_basis_by_subsets(cone)), cone
+            gens = cone.generators
+            non_extreme += any(
+                cone_contains(RationalCone(gens[:i] + gens[i + 1 :], d), g)
+                for i, g in enumerate(gens)
+            )
+            lifted += not set(basis) <= set(gens)
+        # generators inside the cone, and simplices with |det| > 1 whose
+        # parallelepipeds add elements, both occur
+        assert d == 1 or (non_extreme and lifted)
+
+    def test_cones_with_lineality(self, monkeypatch):
+        rng = random.Random(2100)
+        cones = []
+        while len(cones) < 60:
+            d = rng.randint(2, 4)
+            cone = random_pointed_cone(rng, d, 0, 2)
+            w = tuple(rng.randint(-2, 2) for _ in range(d))
+            cone = RationalCone(cone.generators + (w, tuple(-x for x in w)), d)
+            if rational_kernel_basis(dual_cone(cone).generators, d):
+                cones.append(cone)
+        assert [hilbert_basis(c).elements for c in cones] == reference_hilbert_basis(
+            cones, monkeypatch
+        )
+
+    def test_lower_rank_cones(self, monkeypatch):
+        rng = random.Random(2200)
+        cones = []
+        while len(cones) < 60:
+            d = rng.randint(2, 5)
+            base = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
+            inner = random_pointed_cone(rng, len(base), 0, 2)
+            gens = tuple(
+                tuple(sum(c * b[i] for c, b in zip(g, base)) for i in range(d))
+                for g in inner.generators
+            )
+            cone = RationalCone(gens, d)
+            if cone.generators and rational_rank(cone.generators) < d:
+                cones.append(cone)
+        assert [hilbert_basis(c).elements for c in cones] == reference_hilbert_basis(
+            cones, monkeypatch
+        )
+
+    @pytest.mark.parametrize(
+        "gens, dim, expected",
+        [
+            (((3,),), 1, ((1,),)),
+            (((-2,), (-5,)), 1, ((-1,),)),
+            # unimodular: the generators are the basis
+            (((1, 0, 0), (1, 1, 0), (1, 1, 1)), 3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))),
+            # one simplex of determinant 5
+            (((1, 0), (1, 5)), 2, tuple((1, i) for i in range(6))),
+        ],
+    )
+    def test_explicit_cases(self, gens, dim, expected):
+        cone = RationalCone(gens, dim)
+        assert hilbert_basis(cone).elements == expected
+        assert sorted(hilbert_basis_by_subsets(cone)) == list(expected)
 
 
 class TestPolytopePart:
