@@ -4,8 +4,8 @@ A diagonal action of a torus times a finite abelian group induces a grading
 on the ring of polynomials in some variables and Laurent polynomials in the
 rest.  This package decides positivity of that grading, enumerates monomial
 bases of the finite dimensional graded components, and produces finite
-generating sets in the infinite dimensional case — all in exact integer and
-rational arithmetic.
+generating sets in the infinite dimensional case — all in exact integer
+arithmetic.
 """
 
 from .components import (

@@ -1,18 +1,17 @@
 """Exact integer and rational linear algebra.
 
 Everything here is deterministic and exact: integer matrices are immutable
-tuples-of-tuples, rational work uses :class:`fractions.Fraction`, and no
-floating point ever appears.  The centrepiece is :func:`smith_normal_form`,
+tuples-of-tuples, all arithmetic is on ``int``, and neither fractions nor
+floating point ever appear.  The centrepiece is :func:`smith_normal_form`,
 which drives integer kernels, integer linear solving and lattice completion.
 One fraction-free elimination gives determinants and adjugates, and one
-rational row reduction gives ranks and rational kernels.
+fraction-free row reduction gives rational ranks and kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -296,7 +295,7 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vec | None:
     if len(b) != a.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
     u, s, v = smith_normal_form(a)
-    c = u.apply(tuple(int(x) for x in b))
+    c = u.apply(int_vector(b))
     n = a.cols
     y = [0] * n
     for i in range(a.nrows):
@@ -311,17 +310,21 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination helpers
+# fraction-free elimination over the rationals
 
 
-def _rref(rows: Iterable[Sequence[Fraction | int]], dim: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
+def _rref(rows: Iterable[Sequence[int]], dim: int) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form up to row scaling, in integers.
 
-    Returns ``(work, pivots)``: row ``work[i]`` has a 1 in column
-    ``pivots[i]`` and zeros in every other pivot column; zero rows are
-    dropped.
+    Returns ``(work, pivots)``: row ``work[i]`` is nonzero in column
+    ``pivots[i]`` and zero in every other pivot column, and is a nonzero
+    integer multiple of row ``i`` of the rational reduced echelon form; zero
+    input rows are dropped.  Each column is cleared from every other row by
+    ``(pv/g) row_i - (f/g) row_k`` with ``g = gcd(pv, f)``, and every
+    updated row is divided by its content.  Scaling never changes which
+    entries vanish, so the pivots and row swaps are the rational ones.
     """
-    work = [list(map(Fraction, r)) for r in rows if any(r)]
+    work = [tuple(r) for r in rows if any(r)]
     pivots: list[int] = []
     for col in range(dim):
         rk = len(pivots)
@@ -329,39 +332,43 @@ def _rref(rows: Iterable[Sequence[Fraction | int]], dim: int) -> tuple[list[list
         if piv is None:
             continue
         work[rk], work[piv] = work[piv], work[rk]
-        pv = work[rk][col]
-        work[rk] = [x / pv for x in work[rk]]
-        for i in range(len(work)):
-            if i != rk and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
+        row_k = work[rk]
+        pv = row_k[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != rk:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                work[i] = primitive([a * x - b * y for x, y in zip(row, row_k)])
         pivots.append(col)
     return work, pivots
 
 
-def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
+def rational_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals."""
     rows = list(rows)
     return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
-def rational_kernel_basis(rows: Iterable[Sequence[Fraction | int]], dim: int) -> list[Vec]:
+def rational_kernel_basis(rows: Iterable[Sequence[int]], dim: int) -> list[Vec]:
     """Primitive integer vectors spanning ``{x : row . x == 0 for all rows}``.
 
     The output is deterministic: reduced row echelon form with free variables
     set to 1 in increasing column order, each vector scaled to be integral and
-    primitive.
+    primitive.  The scaling is the positive ``lcm`` of the pivot entries, so
+    every coordinate is an exact integer quotient.
     """
     work, pivots = _rref(rows, dim)
+    scale = lcm(*(row[p] for row, p in zip(work, pivots)))
     basis = []
     for free in range(dim):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * dim
-        vec[free] = Fraction(1)
-        for rix, pcol in enumerate(pivots):
-            vec[pcol] = -work[rix][free]
-        basis.append(primitive(tuple(vec)))
+        vec = [0] * dim
+        vec[free] = scale
+        for row, p in zip(work, pivots):
+            vec[p] = -row[free] * scale // row[p]
+        basis.append(primitive(vec))
     return basis
 
 
@@ -376,7 +383,7 @@ def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
     would not, at exact half-integers).  Requires independent columns; a
     matrix with no columns leaves ``v`` unchanged.
     """
-    v = tuple(int(x) for x in v)
+    v = int_vector(v)
     if basis.cols == 0:
         return v
     cols = [basis.col(j) for j in range(basis.cols)]
@@ -429,22 +436,11 @@ def vscale(c, v: Sequence) -> tuple:
     return tuple(c * x for x in v)
 
 
-def primitive(v: Sequence[Fraction | int]) -> Vec:
-    """Scale a rational vector to a primitive integer vector (gcd 1).
+def primitive(v: Sequence[int]) -> Vec:
+    """Divide an integer vector by the gcd of its entries.
 
-    The direction (sign) is preserved; the zero vector maps to itself.
+    The direction (sign) is preserved; the zero vector maps to itself.  A
+    non-integer entry raises :class:`TypeError`.
     """
-    if all(type(x) is int for x in v):
-        g = gcd(*v)
-        return tuple(x // g for x in v) if g > 1 else tuple(v)
-    fracs = [Fraction(x) for x in v]
-    if not any(fracs):
-        return (0,) * len(fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)

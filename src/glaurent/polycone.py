@@ -2,9 +2,8 @@
 
 Everything here is exact and free of floating point: cones are given by
 integer generators, polyhedra by integer inequality rows ``<a, u> >= c``.
-Fourier-Motzkin, the double-description dual and the pulling triangulation
-behind Hilbert bases run in integers; spans, ranks and kernels are computed
-over the rationals.
+Fourier-Motzkin, the double-description dual, the pulling triangulation
+behind Hilbert bases, and the spans, ranks and kernels all run in integers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .exactmat import (
     smith_normal_form,
     solve_integer,
     unimodular_completion,
-    vsub,
 )
 
 
@@ -391,21 +389,16 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
             mu = [scale * x % size for x in to_mu.apply(c)]
             if any(mu):
                 candidates.add(tuple(dot(row, mu) // size for row in mat.rows))
-    weight = [0] * d
-    for u in dual:
-        weight = [a + b for a, b in zip(weight, u)]
-    weight_v = tuple(weight)
-    ordered = sorted(candidates, key=lambda v: (dot(weight_v, v), v))
+    # v reduces by a kept w iff v - w is in the cone, i.e. iff w's values on
+    # the dual rays are at most v's; the dual spans, so values separate points
+    values = {v: tuple(dot(u, v) for u in dual) for v in candidates}
     kept: list[Vec] = []
-    for v in ordered:
-        reducible = False
-        for w in kept:
-            diff = vsub(v, w)
-            if any(diff) and all(dot(u, diff) >= 0 for u in dual):
-                reducible = True
-                break
-        if not reducible:
+    kept_values: list[Vec] = []
+    for v in sorted(candidates, key=lambda v: (sum(values[v]), v)):
+        fv = values[v]
+        if not any(all(a <= b for a, b in zip(fw, fv)) for fw in kept_values):
             kept.append(v)
+            kept_values.append(fv)
     return kept
 
 

@@ -7,13 +7,15 @@ meet-in-the-middle scan, and monoid factorizations are checked by bounded
 search.  The helpers exist so that acceptance tests compare the library
 against genuinely separate computations.  The ``Fraction`` references at the
 end are the straightforward rational routes that the library's integer
-elimination replaced, kept for differential tests.
+eliminations replaced (inverse, lattice reduction, row echelon form, rank
+and kernel), kept for differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from glaurent.exactmat import (
     IntMatrix,
@@ -272,3 +274,61 @@ def fraction_reduce_mod_lattice(columns, v):
     return tuple(
         v[i] - sum(c[i] * x for c, x in zip(columns, shift)) for i in range(len(v))
     )
+
+
+def fraction_rref(rows, dim: int):
+    """Reduced row echelon form over ``Fraction``: ``(work, pivots)`` with a
+    1 in column ``pivots[i]`` of row ``work[i]``; zero rows are dropped."""
+    work = [list(map(Fraction, r)) for r in rows if any(r)]
+    pivots: list[int] = []
+    for col in range(dim):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rk], work[piv] = work[piv], work[rk]
+        pv = work[rk][col]
+        work[rk] = [x / pv for x in work[rk]]
+        for i in range(len(work)):
+            if i != rk and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
+        pivots.append(col)
+    return work, pivots
+
+
+def fraction_rank(rows) -> int:
+    """Rank over the rationals by :func:`fraction_rref`."""
+    rows = list(rows)
+    return len(fraction_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def fraction_primitive(v) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector, keeping its sign."""
+    fracs = [Fraction(x) for x in v]
+    if not any(fracs):
+        return (0,) * len(fracs)
+    denom = 1
+    for x in fracs:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def fraction_kernel_basis(rows, dim: int) -> list[tuple[int, ...]]:
+    """Kernel basis from :func:`fraction_rref`: free variables set to 1 in
+    increasing column order, each vector made primitive."""
+    work, pivots = fraction_rref(rows, dim)
+    basis = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * dim
+        vec[free] = Fraction(1)
+        for rix, pcol in enumerate(pivots):
+            vec[pcol] = -work[rix][free]
+        basis.append(fraction_primitive(tuple(vec)))
+    return basis

@@ -6,12 +6,23 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from helpers import fraction_inverse, fraction_reduce_mod_lattice
+import sympy
+from helpers import (
+    fraction_inverse,
+    fraction_kernel_basis,
+    fraction_primitive,
+    fraction_rank,
+    fraction_reduce_mod_lattice,
+    fraction_rref,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glaurent.exactmat import (
     DimensionMismatch,
     IntMatrix,
     SingularMatrix,
+    _rref,
     det_and_scaled_inverse,
     determinant,
     dot,
@@ -96,6 +107,13 @@ class TestVectors:
     def test_primitive(self):
         assert primitive((2, 4, -6)) == (1, 2, -3)
         assert primitive((0, 0)) == (0, 0)
+        assert primitive((-3, 0, 6)) == (-1, 0, 2)
+        assert primitive(()) == ()
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), Fraction(3, 1), "1"])
+    def test_primitive_refuses_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            primitive((2, bad))
 
 
 class TestRankDeterminant:
@@ -191,12 +209,22 @@ class TestKernelAndSolve:
         assert solve_integer(b, (1, 3)) == (1, 1)
         assert solve_integer(b, (1, 2)) is None
 
+    @pytest.mark.parametrize("bad", [4.9, 4.0, Fraction(4, 1), True, "4"])
+    def test_solve_integer_refuses_non_integers(self, bad):
+        a = IntMatrix.from_rows([(2,)], 1)
+        with pytest.raises(TypeError, match="expected an integer"):
+            solve_integer(a, [bad])
+
     def test_rational_kernel_basis(self):
         basis = rational_kernel_basis([(1, 1, 0)], 3)
         assert len(basis) == 2
         for v in basis:
             assert dot(v, (1, 1, 0)) == 0
         assert rational_kernel_basis([(1, 0), (0, 1)], 2) == []
+        # free variables set in column order, pivot coordinates solved for
+        assert rational_kernel_basis([(2, 4, 0), (1, 2, 3)], 3) == [(-2, 1, 0)]
+        assert rational_kernel_basis([(-3, 0, 2)], 3) == [(0, 1, 0), (2, 0, 3)]
+        assert rational_kernel_basis([], 2) == [(1, 0), (0, 1)]
 
 
 class TestReduceModLattice:
@@ -240,6 +268,92 @@ class TestReduceModLattice:
         basis = IntMatrix.from_columns([(1, 1), (2, 2)], 2)
         with pytest.raises(SingularMatrix):
             reduce_mod_lattice(basis, (0, 0))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, Fraction(1, 1), True, "1"])
+    def test_non_integer_vector_rejected(self, bad):
+        basis = IntMatrix.from_rows([(1,), (1,)], 1)
+        with pytest.raises(TypeError, match="expected an integer"):
+            reduce_mod_lattice(basis, [bad, 0])
+        with pytest.raises(TypeError, match="expected an integer"):
+            reduce_mod_lattice(IntMatrix.from_columns([], 2), [bad, 0])
+
+
+def random_rows(rng):
+    """A seeded matrix of 0-7 rows by 0-8 columns with entries in [-50, 50],
+    mixing dense, sparse, zero, repeated, negated, scaled and combined rows."""
+    n = rng.randint(0, 8)
+    density = rng.choice([0.3, 0.6, 1.0])
+    rows: list[list[int]] = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * n
+        elif rows and kind < 0.35:
+            base = rng.choice(rows)
+            c = rng.choice([1, -1, 2, -2, 3, -5])
+            row = [c * x for x in base]
+            if kind < 0.25:
+                other = rng.choice(rows)
+                row = [x + rng.choice([1, -1, 2]) * y for x, y in zip(row, other)]
+            if any(abs(x) > 50 for x in row):
+                row = list(base)
+        else:
+            bound = rng.choice([2, 9, 50])
+            row = [rng.randint(-bound, bound) if rng.random() < density else 0
+                   for _ in range(n)]
+        rows.append(row)
+    return rows, n
+
+
+class TestFractionFreeElimination:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2024)
+        seen = {"zero row": 0, "repeated row": 0, "negative pivot": 0,
+                "full rank": 0, "deficient": 0, "no rows": 0, "no columns": 0}
+        for _ in range(1500):
+            rows, n = random_rows(rng)
+            work, pivots = _rref(rows, n)
+            ref_work, ref_pivots = fraction_rref(rows, n)
+            assert pivots == ref_pivots
+            assert len(work) == len(ref_work)
+            assert all(type(x) is int for row in work for x in row)
+            # each pivot row is a nonzero multiple of the rational one
+            for row, ref, p in zip(work, ref_work, pivots):
+                assert row[p] != 0 and all(x == row[p] * y for x, y in zip(row, ref))
+            rank = rational_rank(rows)
+            assert rank == len(pivots) == fraction_rank(rows)
+            basis = rational_kernel_basis(rows, n)
+            assert basis == fraction_kernel_basis(rows, n)
+            assert len(basis) == n - rank
+            assert all(dot(r, v) == 0 for r in rows for v in basis)
+            seen["zero row"] += any(not any(r) for r in rows) and n > 0
+            seen["repeated row"] += len({tuple(r) for r in rows if any(r)}) < sum(
+                1 for r in rows if any(r))
+            seen["negative pivot"] += any(row[p] < 0 for row, p in zip(work, pivots))
+            seen["full rank"] += 0 < rank == min(len(rows), n)
+            seen["deficient"] += rank < min(len(rows), n)
+            seen["no rows"] += not rows
+            seen["no columns"] += n == 0
+        assert min(seen.values()) >= 20, seen
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-20, 20), min_size=n, max_size=n), max_size=5
+            ).map(lambda rows: (rows, n))
+        )
+    )
+    def test_matches_sympy(self, case):
+        rows, n = case
+        matrix = sympy.Matrix(len(rows), n, [x for r in rows for x in r])
+        assert rational_rank(rows) == matrix.rank()
+        # sympy also sets free variables to 1 in column order
+        expected = [
+            fraction_primitive([Fraction(int(x.p), int(x.q)) for x in vec])
+            for vec in matrix.nullspace()
+        ]
+        assert rational_kernel_basis(rows, n) == expected
 
 
 class TestUnimodularCompletion:

@@ -41,3 +41,9 @@ def test_imports_only_from_lower_levels(module):
 def test_grading_builds_on_polycone():
     assert "polycone" in relative_imports("grading")
     assert "grading" not in relative_imports("polycone")
+
+
+@pytest.mark.parametrize("module", sorted(LEVEL))
+def test_no_fractions_at_runtime(module):
+    text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert not re.search(r"^\s*(from fractions |import fractions)", text, re.M)
