@@ -25,7 +25,7 @@ from .components import (
     NotInQ,
     component,
 )
-from .exactmat import DimensionMismatch, IntMatrix
+from .exactmat import DimensionMismatch, IntMatrix, int_vector
 from .grading import (
     ActionSpec,
     DegreeVector,
@@ -47,13 +47,6 @@ class _InstanceError(Exception):
         self.code = code
 
 
-def _int(x) -> int:
-    # JSON numbers like 1.7 and values like "2" or true are refused, not coerced
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def load_instance(path: str) -> ActionSpec:
     """Read an instance file; raises :class:`_InstanceError` with exit code."""
     try:
@@ -66,11 +59,12 @@ def load_instance(path: str) -> ActionSpec:
     if not isinstance(raw, dict):
         raise _InstanceError("instance document must be an object", _PARSE_ERROR)
     try:
-        p = _int(raw["p"])
-        torsion = tuple(_int(x) for x in raw.get("torsion", []))
-        r = _int(raw["r"])
-        s = _int(raw["s"])
-        rows = [tuple(_int(x) for x in row) for row in raw["L"]]
+        # JSON numbers like 1.7 and values like "2" or true are refused, not coerced
+        (p,) = int_vector([raw["p"]])
+        torsion = int_vector(raw.get("torsion", []))
+        (r,) = int_vector([raw["r"]])
+        (s,) = int_vector([raw["s"]])
+        rows = [int_vector(row) for row in raw["L"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise _InstanceError(f"malformed instance field: {exc}", _PARSE_ERROR)
     try:

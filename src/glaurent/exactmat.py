@@ -428,14 +428,6 @@ def vadd(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v: Sequence) -> tuple:
-    return tuple(c * x for x in v)
-
-
 def primitive(v: Sequence[int]) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 

@@ -24,7 +24,7 @@ from .exactmat import (
     solve_integer,
     vadd,
 )
-from .polycone import Polyhedron, _lattice_points_unchecked, intersect
+from .polycone import Polyhedron, intersect, lattice_points
 
 
 class InvalidTorsion(ValueError):
@@ -71,10 +71,11 @@ class ActionSpec:
     weights: IntMatrix
 
     def __post_init__(self) -> None:
-        if self.r < 0 or self.s < 0 or self.p < 0:
+        if min(int_vector((self.r, self.s, self.p))) < 0:
             raise DimensionMismatch("variable and rank counts must be nonnegative")
+        object.__setattr__(self, "torsion", int_vector(self.torsion))
         for d in self.torsion:
-            if not isinstance(d, int) or d < 2:
+            if d < 2:
                 raise InvalidTorsion(f"torsion order {d!r} (each must be an integer >= 2)")
         if self.weights.nrows != self.m:
             raise DimensionMismatch(
@@ -107,6 +108,8 @@ class DegreeVector:
     moduli: Vec
 
     def __post_init__(self) -> None:
+        for name in ("free", "torsion", "moduli"):
+            object.__setattr__(self, name, int_vector(getattr(self, name)))
         if len(self.torsion) != len(self.moduli):
             raise DimensionMismatch("torsion part and moduli lengths differ")
         for d in self.moduli:
@@ -268,7 +271,7 @@ def find_representative(
         ),
         l,
     )
-    points = _lattice_points_unchecked(intersect(build_polytope(kd, phi0), box))
+    points = lattice_points(intersect(build_polytope(kd, phi0), box))
     if not points:
         raise RepresentativeNotFound(search_bound, conclusive=False)
     return min((vadd(phi0, kd.basis.apply(z)) for z in points), key=_colex_key)

@@ -34,7 +34,7 @@ class EmptyPolyhedron(ValueError):
 
 
 class Unbounded(ValueError):
-    """Lattice-point enumeration was asked for an unbounded polyhedron."""
+    """Lattice-point enumeration met an unbounded coordinate range."""
 
 
 @dataclass(frozen=True)
@@ -184,25 +184,20 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return RationalCone(tuple(sorted(generators)), d)
 
 
-def cone_contains(cone: RationalCone, v: Vec) -> bool:
-    """Exact membership test, via the cached dual description."""
-    return all(dot(u, v) >= 0 for u in dual_cone(cone).generators)
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination and lattice points
 
 
-def _normalize_row(a: Vec, c: int, tighten: bool) -> tuple[Vec, int]:
+def _normalize_row(a: Vec, c: int) -> tuple[Vec, int]:
     g = gcd(*a)
-    if tighten and g > 1:
+    if g > 1:
         # dividing by the content is valid for integer points: <a,u> >= c
         # with a = g*a' forces <a',u> >= ceil(c/g).
         return (tuple(x // g for x in a), -((-c) // g))
     return (a, c)
 
 
-def _project_last(rows: list[tuple[Vec, int]], tighten: bool) -> list[tuple[Vec, int]]:
+def _project_last(rows: list[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     """One step of Fourier-Motzkin: eliminate the last coordinate."""
     keep: list[tuple[Vec, int]] = []
     pos: list[tuple[Vec, int]] = []
@@ -214,28 +209,23 @@ def _project_last(rows: list[tuple[Vec, int]], tighten: bool) -> list[tuple[Vec,
             pos.append((a, c))
         else:
             neg.append((a, c))
-    out = {_normalize_row(a, c, tighten) for a, c in keep}
+    out = {_normalize_row(a, c) for a, c in keep}
     for ap, cp in pos:
         for an, cn in neg:
             alpha, beta = ap[-1], an[-1]
             coeffs = tuple(-beta * x + alpha * y for x, y in zip(ap[:-1], an[:-1]))
             rhs = -beta * cp + alpha * cn
-            out.add(_normalize_row(coeffs, rhs, tighten))
+            out.add(_normalize_row(coeffs, rhs))
     return sorted(out)
 
 
-def _projections(poly: Polyhedron, tighten: bool) -> list[list[tuple[Vec, int]]]:
+def _projections(poly: Polyhedron) -> list[list[tuple[Vec, int]]]:
     """Systems in dimensions dim, dim-1, ..., 0 (successive eliminations)."""
     systems = [sorted(set(poly.rows))]
     for _ in range(poly.dim):
-        systems.append(_project_last(systems[-1], tighten))
+        systems.append(_project_last(systems[-1]))
     systems.reverse()
     return systems
-
-
-def _real_feasible(poly: Polyhedron) -> bool:
-    systems = _projections(poly, tighten=False)
-    return all(c <= 0 for _, c in systems[0])
 
 
 def is_bounded(poly: Polyhedron) -> bool:
@@ -245,14 +235,15 @@ def is_bounded(poly: Polyhedron) -> bool:
 
 
 def lattice_points(poly: Polyhedron) -> list[Vec]:
-    """All integer points of a bounded polyhedron, in lexicographic order."""
-    if not is_bounded(poly):
-        raise Unbounded(f"polyhedron in dimension {poly.dim} is unbounded")
-    return _lattice_points_unchecked(poly)
+    """All integer points of the polyhedron, in lexicographic order.
 
-
-def _lattice_points_unchecked(poly: Polyhedron) -> list[Vec]:
-    systems = _projections(poly, tighten=True)
+    Fourier-Motzkin projects the rows down coordinate by coordinate, each
+    row divided by its content with the right-hand side rounded up, and the
+    points are read off level by level.  Raises :class:`Unbounded` when
+    there are infinitely many points; an unbounded polyhedron with no
+    lattice point either raises it too or gives ``[]``.
+    """
+    systems = _projections(poly)
     if any(c > 0 for _, c in systems[0]):
         return []
     found: list[Vec] = []
@@ -486,14 +477,16 @@ def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], RationalCone, Hilb
     the recession cone's Hilbert basis, and — when the recession cone is
     trivial — ``core_points`` are exactly the lattice points of ``poly``.
 
-    Raises :class:`EmptyPolyhedron` when the polyhedron has no real points.
+    Raises :class:`EmptyPolyhedron` when the polyhedron has no real points,
+    that is when no generator of the homogenized cone ``{(u, t) : <a, u> >=
+    c t, t >= 0}`` has ``t > 0``.
     """
-    if not _real_feasible(poly):
-        raise EmptyPolyhedron(f"no solutions in dimension {poly.dim}")
     d = poly.dim
     homogenized = [a + (-c,) for a, c in poly.rows]
     homogenized.append(tuple(0 for _ in range(d)) + (1,))
     cone = dual_cone(RationalCone(tuple(homogenized), d + 1))
+    if not any(g[-1] > 0 for g in cone.generators):
+        raise EmptyPolyhedron(f"no solutions in dimension {poly.dim}")
     basis = hilbert_basis(cone)
     core = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 1))
     level0 = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 0))

@@ -5,27 +5,43 @@ machinery: cone membership is decided by a self-contained Fourier-Motzkin
 elimination over ``Fraction``, box point sets are enumerated by a
 meet-in-the-middle scan, and monoid factorizations are checked by bounded
 search.  The helpers exist so that acceptance tests compare the library
-against genuinely separate computations.  The ``Fraction`` references at the
-end are the straightforward rational routes that the library's integer
+against genuinely separate computations.  The ``Fraction`` references
+are the straightforward rational routes that the library's integer
 eliminations replaced (inverse, lattice reduction, row echelon form, rank
-and kernel), kept for differential tests.
+and kernel), and :func:`reference_special_matrix` is the full block-form
+builder that ``special_matrix`` replaced, with the positivity decision read
+off it; all are kept for differential tests.  The
+vector helpers and the cone membership test at the end have no caller left
+in the library.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+from typing import Sequence
 
 from glaurent.exactmat import (
     IntMatrix,
+    det_and_scaled_inverse,
     determinant,
     dot,
     rational_rank,
     smith_normal_form,
     solve_integer,
 )
-from glaurent.grading import ActionSpec
+from glaurent.grading import ActionSpec, associated_vectors
+from glaurent.polycone import (
+    NOT_CONTAINED,
+    RationalCone,
+    dual_basis_vectors,
+    dual_cone,
+    is_in_halfspace_extend,
+    rays_in_halfspace,
+)
+from glaurent.positivity import BlockFormUnavailable, PositivityVerdict
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +348,163 @@ def fraction_kernel_basis(rows, dim: int) -> list[tuple[int, ...]]:
             vec[pcol] = -work[rix][free]
         basis.append(fraction_primitive(tuple(vec)))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# reference block form: the full product gamma @ weights @ delta
+
+
+@dataclass(frozen=True)
+class ReferenceSpecialForm:
+    """``gamma * weights * delta`` equals ``[[l1, d*I], [l3, l4]]`` with the
+    identity block scaled by ``d > 0`` sitting in the free rows over the
+    last columns.  ``delta`` only permutes columns; Laurent columns stay in
+    the trailing positions."""
+
+    l1: IntMatrix
+    l3: IntMatrix
+    l4: IntMatrix
+    d: int
+    gamma: IntMatrix
+    delta: IntMatrix
+
+    @property
+    def column_map(self) -> tuple[int, ...]:
+        """For each position after permutation, the original column index."""
+        out = []
+        for k in range(self.delta.cols):
+            col = self.delta.col(k)
+            out.append(col.index(1))
+        return tuple(out)
+
+
+def reference_special_matrix(spec: ActionSpec) -> ReferenceSpecialForm:
+    """The block form with torsion rows, permutation matrix and full product.
+
+    Picks the same columns as ``positivity.special_matrix`` and asserts the
+    identity block of the product.
+    """
+    associated_vectors(spec)  # faithfulness check
+    p, t, r, s, n = spec.p, spec.t, spec.r, spec.s, spec.n
+    l = n - p
+    free_rows = list(range(p))
+    laurent_cols = list(range(r, n))
+    if p <= s:
+        choices = [tuple()]
+    else:
+        choices = combinations(range(r), p - s)
+    chosen: tuple[int, ...] | None = None
+    block: IntMatrix | None = None
+    for cand in choices:
+        cols = list(cand) + laurent_cols if p > s else laurent_cols[s - p :]
+        mat = spec.weights.submatrix(free_rows, cols)
+        if p == 0 or rational_rank(mat.rows) == p:
+            chosen = tuple(cand)
+            block = mat
+            break
+    if block is None:
+        raise BlockFormUnavailable(
+            "no nonsingular free-row block over any admissible column choice"
+        )
+    if p == 0:
+        d0 = 1
+        gamma2 = IntMatrix.from_rows([], 0)
+    else:
+        d0, scaled = det_and_scaled_inverse(block)
+        sign = 1 if d0 > 0 else -1
+        gamma2 = IntMatrix.from_rows(
+            [tuple(sign * x for x in row) for row in scaled.rows], p
+        )
+    d = abs(d0)
+    gamma_rows = []
+    for i in range(p):
+        gamma_rows.append(tuple(gamma2.rows[i]) + (0,) * t)
+    for k in range(t):
+        row = [0] * (p + t)
+        row[p + k] = spec.torsion[k]
+        gamma_rows.append(tuple(row))
+    gamma = IntMatrix.from_rows(gamma_rows, p + t)
+    if p > s:
+        trailing = list(chosen) + laurent_cols
+    else:
+        trailing = laurent_cols[s - p :] if p else []
+    front = [j for j in range(n) if j not in set(trailing)]
+    perm = front + trailing
+    delta = IntMatrix.from_rows(
+        [tuple(1 if perm[k] == i else 0 for k in range(n)) for i in range(n)], n
+    )
+    transformed = gamma @ (spec.weights @ delta)
+    for i in range(p):
+        for k in range(p):
+            expected = d if i == k else 0
+            assert transformed.rows[i][l + k] == expected, "block form violated"
+    l1 = transformed.submatrix(list(range(p)), list(range(l)))
+    l3 = transformed.submatrix(list(range(p, p + t)), list(range(l)))
+    l4 = transformed.submatrix(list(range(p, p + t)), list(range(l, n)))
+    return ReferenceSpecialForm(l1, l3, l4, d, gamma, delta)
+
+
+# ---------------------------------------------------------------------------
+# helpers with no caller left in the library
+
+
+def vsub(u: Sequence, v: Sequence) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(c, v: Sequence) -> tuple:
+    return tuple(c * x for x in v)
+
+
+def cone_contains(cone: RationalCone, v) -> bool:
+    """Exact membership test, via the cached dual description."""
+    return all(dot(u, v) >= 0 for u in dual_cone(cone).generators)
+
+
+def reference_positivity_test(spec: ActionSpec) -> PositivityVerdict:
+    """The positivity decision read off :func:`reference_special_matrix`
+    through its ``column_map``, with the sign chain indexed as ``l + k``."""
+    kd = associated_vectors(spec)
+    if spec.p <= spec.s:
+        return PositivityVerdict(False, failed_condition="p>s")
+    if spec.s > 0:
+        laurent = [spec.weights.col(j) for j in range(spec.r, spec.n)]
+        if rational_rank(laurent) < spec.s:
+            return PositivityVerdict(False, failed_condition="independent Laurent weights")
+    try:
+        form = reference_special_matrix(spec)
+    except BlockFormUnavailable:
+        outcome = rays_in_halfspace(kd.rays, kd.l)
+        if outcome is NOT_CONTAINED:
+            return PositivityVerdict(True)
+        return PositivityVerdict(False, halfspace_normal=outcome.normal)
+    perm = form.column_map
+    rays = [kd.basis.rows[perm[j]] for j in range(spec.n)]
+    l = spec.n - spec.p
+    sets: list[frozenset[int]] = []
+    covered: set[int] = set()
+    untouched = set(range(l))
+    current: frozenset[int] = frozenset()
+    for k in range(spec.p - spec.s):
+        row = form.l1.rows[k]
+        plus = {i for i in range(l) if row[i] < 0}
+        minus = {i for i in range(l) if row[i] > 0}
+        current = frozenset(plus) if k == 0 else current | (untouched & plus)
+        sets.append(current)
+        covered |= plus | minus
+        untouched -= plus | minus
+        if len(covered) == l:
+            break
+    if len(covered) < l:
+        normal = dual_basis_vectors(rays, l)[min(set(range(l)) - covered)]
+        return PositivityVerdict(False, halfspace_normal=normal)
+    if not sets[-1]:
+        return PositivityVerdict(True)
+    first = next(k for k, s in enumerate(sets) if s)
+    normal = dual_basis_vectors(rays, l)[min(sets[first])]
+    seed = RationalCone(tuple(rays[: l + first + 1]), l)
+    outcome = is_in_halfspace_extend(rays[l + first + 1 : spec.r], seed, normal)
+    if outcome is NOT_CONTAINED:
+        return PositivityVerdict(True)
+    flips = tuple(sorted(perm[i] for i in sets[-1]))
+    return PositivityVerdict(False, halfspace_normal=outcome.normal, flip_set=flips)

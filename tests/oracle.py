@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 
+from helpers import vsub
+
 from glaurent.exactmat import (
     DimensionMismatch,
     IntMatrix,
@@ -31,7 +33,6 @@ from glaurent.exactmat import (
     dot,
     rational_kernel_basis,
     solve_integer,
-    vsub,
 )
 from glaurent.grading import (
     ActionSpec,
@@ -47,8 +48,8 @@ from glaurent.grading import (
 from glaurent.polycone import (
     Polyhedron,
     RationalCone,
-    _lattice_points_unchecked,
     dual_cone,
+    lattice_points,
 )
 
 
@@ -291,7 +292,7 @@ def hilbert_basis_by_subsets(cone: RationalCone) -> list[Vec]:
             rows.append((row, 0))
             rows.append((tuple(-x for x in row), -bound))
         box = Polyhedron(tuple(rows), d)
-        for pt in _lattice_points_unchecked(box):
+        for pt in lattice_points(box):
             if any(pt):
                 candidates.add(pt)
     dual = dual_cone(cone).generators

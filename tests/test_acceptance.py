@@ -19,6 +19,7 @@ from helpers import (
     membership_forms,
     random_spec,
     strictly_positive_functional,
+    vsub,
 )
 from oracle import (
     count_monomials_of_degree,
@@ -44,7 +45,6 @@ from glaurent.exactmat import (
     integer_kernel,
     smith_normal_form,
     solve_integer,
-    vsub,
 )
 from glaurent.grading import (
     ActionSpec,

@@ -14,6 +14,8 @@ from helpers import (
     fraction_rank,
     fraction_reduce_mod_lattice,
     fraction_rref,
+    vscale,
+    vsub,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +37,6 @@ from glaurent.exactmat import (
     solve_integer,
     unimodular_completion,
     vadd,
-    vscale,
-    vsub,
 )
 
 

@@ -47,6 +47,27 @@ class TestActionSpec:
         with pytest.raises(InvalidTorsion):
             ActionSpec(2, 0, 0, (1,), IntMatrix.from_rows([(1, 1)], 2))
 
+    @pytest.mark.parametrize(
+        "r, s, p, torsion",
+        [
+            (True, False, True, ()),
+            (2.0, 0, 1, ()),
+            (2, 0, 1.0, ()),
+            (2, "0", 1, ()),
+            (2, 0, 1, (2.0,)),
+            (2, 0, 1, (True,)),
+            (2, 0, 1, (Fraction(3),)),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, r, s, p, torsion):
+        rows = [(1, 1)] + [(1, 0)] * len(torsion)
+        with pytest.raises(TypeError, match="expected an integer"):
+            ActionSpec(r, s, p, torsion, IntMatrix.from_rows(rows, 2))
+
+    def test_torsion_list_stored_as_tuple(self):
+        spec = ActionSpec(2, 0, 1, [3], IntMatrix.from_rows([(1, 1), (1, 0)], 2))
+        assert spec.torsion == (3,)
+
     def test_derived_counts(self):
         spec = ActionSpec(1, 2, 1, (2, 3), IntMatrix.from_rows([(1, 0, 0)] * 3, 3))
         assert spec.n == 3 and spec.t == 2 and spec.m == 3
@@ -64,6 +85,18 @@ class TestDegreeVector:
     def test_str(self):
         assert str(DegreeVector((2,), (0,), (3,))) == "(2, 0 mod 3)"
         assert str(DegreeVector((1, -1), (), ())) == "(1, -1)"
+
+    @pytest.mark.parametrize(
+        "free, torsion, moduli",
+        [((1,), (3,), (2.5,)), ((1.0,), (), ()), ((1,), (True,), (2,)), ((1,), (1,), (3.0,))],
+    )
+    def test_non_integer_entries_rejected(self, free, torsion, moduli):
+        with pytest.raises(TypeError, match="expected an integer"):
+            DegreeVector(free, torsion, moduli)
+
+    def test_modulus_below_two(self):
+        with pytest.raises(InvalidTorsion):
+            DegreeVector((1,), (0,), (1,))
 
     def test_from_values(self):
         spec = mod2()

@@ -4,16 +4,18 @@ import random
 from itertools import product
 
 import pytest
+from helpers import cone_contains
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
 from glaurent import polycone
 from glaurent.polycone import (
     NOT_CONTAINED,
     ContainedWith,
+    EmptyPolyhedron,
     Polyhedron,
     RationalCone,
+    Unbounded,
     dual_cone,
-    cone_contains,
     hilbert_basis,
     intersect,
     is_bounded,
@@ -148,6 +150,18 @@ class TestPolyhedron:
         assert is_bounded(Polyhedron((((1,), 0), ((-1,), -5)), 1))
         # bounded in one direction only
         assert not is_bounded(Polyhedron((((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)), 2))
+
+    def test_infinitely_many_points_raise(self):
+        with pytest.raises(Unbounded):
+            lattice_points(Polyhedron((((1,), 0),), 1))
+        with pytest.raises(Unbounded):
+            lattice_points(Polyhedron((((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)), 2))
+
+    def test_unbounded_without_lattice_points(self):
+        # 2x = 1 and y free: a line with no integer point
+        line = Polyhedron((((2, 0), 1), ((-2, 0), -1)), 2)
+        assert not is_bounded(line)
+        assert lattice_points(line) == []
 
     def test_intersect(self):
         a = Polyhedron((((1,), 0),), 1)
@@ -348,6 +362,35 @@ class TestPolytopePart:
         assert sorted(rec.elements) == [(1,)]
         for v in core:
             assert v[0] >= -2
+
+    @pytest.mark.parametrize(
+        "rows, dim",
+        [
+            # x >= 1 and x <= 0: bounded, empty
+            ((((1,), 1), ((-1,), 0)), 1),
+            # x >= 1, x <= 0, y free: unbounded recession, empty
+            ((((1, 0), 1), ((-1, 0), 0)), 2),
+            # x + y >= 3, x <= 1, y <= 1
+            ((((1, 1), 3), ((-1, 0), -1), ((0, -1), -1)), 2),
+        ],
+    )
+    def test_empty_polyhedron_raises(self, rows, dim):
+        with pytest.raises(EmptyPolyhedron):
+            polytope_part(Polyhedron(rows, dim))
+
+    @pytest.mark.parametrize(
+        "rows, dim, level0",
+        [
+            # 2x = 1: one real point, no lattice point
+            ((((2,), 1), ((-2,), -1)), 1, ()),
+            # 2x = 1, y free: a line of real points, no lattice point
+            ((((2, 0), 1), ((-2, 0), -1)), 2, ((0, -1), (0, 1))),
+        ],
+    )
+    def test_real_points_without_lattice_points(self, rows, dim, level0):
+        core, _, rec = polytope_part(Polyhedron(rows, dim))
+        assert core == ()
+        assert rec.elements == level0
 
     def test_support_hull_contains_core(self):
         p = Polyhedron((((1, 1), 0), ((1, -1), 0)), 2)

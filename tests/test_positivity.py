@@ -1,31 +1,41 @@
 """Unit tests for the positivity decision procedure and its certificates."""
 
+import random
+from collections import Counter
+from dataclasses import fields
+
 import pytest
+from helpers import random_spec, reference_positivity_test, reference_special_matrix
 
 from glaurent.exactmat import IntMatrix, dot
 from glaurent.grading import ActionSpec, associated_vectors
-from glaurent.positivity import flip_matrix, positivity_test, special_matrix
+from glaurent.positivity import (
+    BlockFormUnavailable,
+    SpecialForm,
+    flip_matrix,
+    positivity_test,
+    special_matrix,
+)
 
 
 def spec_of(r, s, p, torsion, rows):
     return ActionSpec(r, s, p, tuple(torsion), IntMatrix.from_rows(rows, r + s))
 
 
-def _check_block_identity(spec, sf):
-    """gamma @ L @ delta must equal the block matrix [[L1, d*I], [L3, L4]]."""
-    from glaurent.exactmat import determinant
-
-    assert determinant(sf.delta) in (1, -1)
-    product = (sf.gamma @ spec.weights) @ sf.delta
-    p = spec.p
-    for i in range(p):
-        left = sf.l1.rows[i] if sf.l1.cols else ()
-        right = tuple(sf.d if j == i else 0 for j in range(p))
-        assert product.rows[i] == left + right
-    for i in range(spec.t):
-        left = sf.l3.rows[i] if sf.l3.cols else ()
-        right = sf.l4.rows[i] if sf.l4.cols else ()
-        assert product.rows[p + i] == left + right
+def _check_block_form(spec, sf):
+    """``B @ l1 == d * W[:, front]`` for the free rows ``W`` and the square
+    block ``B`` of ``W`` over the trailing columns."""
+    n, l = spec.n, spec.n - spec.p
+    free = range(spec.p)
+    assert sf.d > 0
+    assert sorted(sf.columns) == list(range(n))
+    positions = [sf.columns.index(j) for j in range(n)]
+    assert all(positions[i] < positions[j] for i in range(spec.r) for j in range(spec.r, n))
+    front, trailing = sf.columns[:l], sf.columns[l:]
+    block = spec.weights.submatrix(free, trailing)
+    assert block @ sf.l1 == IntMatrix.from_rows(
+        [[sf.d * x for x in row] for row in spec.weights.submatrix(free, front).rows], l
+    )
 
 
 class TestSpecialMatrix:
@@ -34,19 +44,69 @@ class TestSpecialMatrix:
         sf = special_matrix(spec)
         assert sf.d == 3
         assert sf.l1.rows == ((2,),)
-        _check_block_identity(spec, sf)
+        assert sf.columns == (0, 1)
+        _check_block_form(spec, sf)
 
     def test_no_laurent_columns(self):
         spec = spec_of(2, 0, 1, (), [(1, 1)])
         sf = special_matrix(spec)
         assert sf.d == 1
         assert sf.l1.rows == ((1,),)
-        _check_block_identity(spec, sf)
+        _check_block_form(spec, sf)
 
-    def test_torsion_rows_land_in_lower_blocks(self):
+    def test_torsion_rows_stay_out_of_the_block(self):
         spec = spec_of(2, 0, 1, (2,), [(1, 1), (1, 0)])
         sf = special_matrix(spec)
-        _check_block_identity(spec, sf)
+        assert sf == special_matrix(spec_of(2, 0, 1, (), [(1, 1)]))
+        _check_block_form(spec, sf)
+
+    def test_negative_block_determinant(self):
+        # the block over the Laurent column is (-3): d = 3 and l1 = -adj * 2
+        spec = spec_of(1, 1, 1, (), [(2, -3)])
+        sf = special_matrix(spec)
+        assert sf.d == 3
+        assert sf.l1.rows == ((-2,),)
+        assert sf.columns == (0, 1)
+        _check_block_form(spec, sf)
+
+    def test_two_free_rows_over_one_laurent_column(self):
+        # p > s: one polynomial column joins the Laurent one; column 0 is
+        # singular with it, so column 1 is chosen
+        spec = spec_of(3, 1, 2, (), [(1, 2, 0, 1), (2, 0, 1, 2)])
+        sf = special_matrix(spec)
+        assert sf.columns == (0, 2, 1, 3)
+        assert sf.d == 4
+        _check_block_form(spec, sf)
+
+    def test_fields(self):
+        assert [f.name for f in fields(SpecialForm)] == ["l1", "d", "columns"]
+
+
+class TestSpecialMatrixDifferential:
+    def test_matches_reference_builder(self):
+        """1,200 seeded specs (up to 6 variables, up to 3 free rows, entries
+        in [-2, 2]) against the full product ``gamma @ W @ delta``."""
+        rng = random.Random(1000)
+        kinds = Counter()
+        for _ in range(1200):
+            spec = random_spec(rng, max_p=3, lo=-2, hi=2)
+            try:
+                ref = reference_special_matrix(spec)
+            except BlockFormUnavailable:
+                with pytest.raises(BlockFormUnavailable):
+                    special_matrix(spec)
+                kinds["unavailable"] += 1
+            else:
+                sf = special_matrix(spec)
+                assert (sf.l1, sf.d, sf.columns) == (ref.l1, ref.d, ref.column_map), spec
+                _check_block_form(spec, sf)
+                kinds["p=0" if spec.p == 0 else "p<=s" if spec.p <= spec.s else "p>s"] += 1
+            got, want = positivity_test(spec), reference_positivity_test(spec)
+            assert got.positive == want.positive, spec
+            assert got.failed_condition == want.failed_condition, spec
+            assert got.halfspace_normal == want.halfspace_normal, spec
+            assert got.flip_set == want.flip_set, spec
+        assert min(kinds[k] for k in ("p=0", "p<=s", "p>s", "unavailable")) >= 20, kinds
 
 
 class TestVerdicts:
