@@ -1,11 +1,13 @@
 """Graded components: dimension, monomial bases, and generating sets.
 
-Fix a degree.  When the grading is positive the component is a finite
-dimensional vector space and we list its monomial basis — the lattice points
-of a polytope, pushed back into exponent vectors.  Otherwise the degree-zero
-part is an infinitely generated monomial algebra with a finite canonical set
-of ring generators, and every component is a finitely generated module over
-it; we produce both generating sets.
+Fix a degree.  A representative of it turns the component's monomials into
+the lattice points of a polyhedron holding the origin, and the component is
+finite dimensional exactly when that polyhedron is bounded: the lattice
+point enumeration lists the points, or raises :class:`Unbounded`.  A finite
+component (every one when the grading is positive) gets its monomial basis.
+Otherwise the degree-zero part is an infinitely generated monomial algebra
+with a finite canonical set of ring generators, and the component is a
+finitely generated module over it; we produce both generating sets.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .grading import (
 from .polycone import (
     Polyhedron,
     RationalCone,
+    Unbounded,
     dual_cone,
     hilbert_basis,
     intersect,
-    is_bounded,
     lattice_points,
     polytope_part,
     support_hull_rows,
@@ -128,19 +130,12 @@ def component(
         phi = find_representative(spec, kd, a, search_bound)
     except RepresentativeNotFound as exc:
         return ComponentDescription(a, None, NotInQ(exc.bound, exc.conclusive))
-    return _component_with_representative(spec, kd, a, phi, prune)
-
-
-def _component_with_representative(
-    spec: ActionSpec,
-    kd: KernelData,
-    a: DegreeVector,
-    phi: Vec,
-    prune: bool,
-) -> ComponentDescription:
     poly = build_polytope(kd, phi)
-    if is_bounded(poly):
+    try:
         points = lattice_points(poly)
+    except Unbounded:
+        pass
+    else:
         monomials = sorted(
             (Monomial(vadd(phi, kd.basis.apply(u))) for u in points), reverse=True
         )
@@ -189,7 +184,9 @@ def _split_lineality(kd: KernelData, poly: Polyhedron):
 def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:
     """Lattice points covering a polyhedron with pointed recession cone.
 
-    Every lattice point of the polyhedron is one of these plus a monoid
+    A bounded polyhedron (the component's recession cone was all lineality)
+    gives its lattice points, read straight off the enumeration.  Otherwise
+    every lattice point of the polyhedron is one of these plus a monoid
     combination of the recession cone's Hilbert basis: the points are cut
     from an exactly-supported region around (lattice core) + (box spanned
     by the recession Hilbert basis), clipped to the polyhedron itself.  With
@@ -197,9 +194,11 @@ def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:
     :func:`polytope_part`, the points that are no other point of the
     polyhedron plus a nonzero recession monoid element.
     """
-    if is_bounded(poly):
+    try:
         return lattice_points(poly)
-    core, _, recession_hb = polytope_part(poly)
+    except Unbounded:
+        pass
+    core, recession_hb = polytope_part(poly)
     if prune:
         return list(core)
     region = intersect(
@@ -229,7 +228,7 @@ def component_dimension(
         if exc.conclusive:
             return 0
         raise
-    poly = build_polytope(kd, phi)
-    if is_bounded(poly):
-        return len(lattice_points(poly))
-    return INFINITE
+    try:
+        return len(lattice_points(build_polytope(kd, phi)))
+    except Unbounded:
+        return INFINITE

@@ -30,13 +30,15 @@ class IntMatrix:
     """Immutable integer matrix.
 
     ``rows`` is a tuple of row tuples; ``cols`` is kept explicitly so that
-    matrices with zero rows still know their width.
+    matrices with zero rows still know their width.  Every entry must be an
+    ``int``: the constructor refuses anything else with :class:`TypeError`.
     """
 
     rows: tuple[Vec, ...]
     cols: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(int_vector, self.rows)))
         for row in self.rows:
             if len(row) != self.cols:
                 raise DimensionMismatch(
@@ -49,7 +51,6 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = tuple(int_vector(row) for row in rows)
         if cols is None:
             if not rows:
                 raise DimensionMismatch("empty matrix needs an explicit column count")
@@ -58,7 +59,6 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
-        columns = [int_vector(c) for c in columns]
         if nrows is None:
             if not columns:
                 raise DimensionMismatch("empty matrix needs an explicit row count")
@@ -68,10 +68,6 @@ class IntMatrix:
                 raise DimensionMismatch("ragged columns")
         rows = tuple(tuple(c[i] for c in columns) for i in range(nrows))
         return cls(rows, len(columns))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.rows)
@@ -247,11 +243,6 @@ def _bareiss(a: IntMatrix) -> tuple[int, list[list[int]]]:
                 m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
         prev = pk
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _bareiss(a)[0]
 
 
 def det_and_scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:

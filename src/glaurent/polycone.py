@@ -228,20 +228,18 @@ def _projections(poly: Polyhedron) -> list[list[tuple[Vec, int]]]:
     return systems
 
 
-def is_bounded(poly: Polyhedron) -> bool:
-    """Whether the polyhedron is bounded (its recession cone is trivial)."""
-    recession = RationalCone(tuple(a for a, _ in poly.rows), poly.dim)
-    return not dual_cone(recession).generators
-
-
 def lattice_points(poly: Polyhedron) -> list[Vec]:
     """All integer points of the polyhedron, in lexicographic order.
 
     Fourier-Motzkin projects the rows down coordinate by coordinate, each
     row divided by its content with the right-hand side rounded up, and the
-    points are read off level by level.  Raises :class:`Unbounded` when
-    there are infinitely many points; an unbounded polyhedron with no
-    lattice point either raises it too or gives ``[]``.
+    points are read off level by level.  This is also the boundedness test:
+    a polyhedron with a lattice point raises :class:`Unbounded` exactly when
+    it is unbounded.  The projections are exact over the rationals
+    (Schrijver 1986, 12.2) and rounding keeps every row's normal, so each
+    level's range is finite when the polyhedron is bounded; a lattice point
+    plus a recession direction gives infinitely many points.  An unbounded
+    polyhedron with no lattice point either raises it too or gives ``[]``.
     """
     systems = _projections(poly)
     if any(c > 0 for _, c in systems[0]):
@@ -469,10 +467,10 @@ def dual_basis_vectors(rays, l: int) -> list[Vec]:
 # Polytope part of a polyhedron
 
 
-def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], RationalCone, HilbertBasis]:
+def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], HilbertBasis]:
     """Split ``poly`` into a finite lattice core plus its recession monoid.
 
-    Returns ``(core_points, recession, recession_hb)`` where every lattice
+    Returns ``(core_points, recession_hb)`` where every lattice
     point of ``poly`` is one of ``core_points`` plus a monoid combination of
     the recession cone's Hilbert basis, and — when the recession cone is
     trivial — ``core_points`` are exactly the lattice points of ``poly``.
@@ -490,8 +488,7 @@ def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], RationalCone, Hilb
     basis = hilbert_basis(cone)
     core = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 1))
     level0 = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 0))
-    recession = RationalCone(level0, d)
-    return core, recession, HilbertBasis(level0)
+    return core, HilbertBasis(level0)
 
 
 def support_hull_rows(points, generators, normals, dim: int) -> Polyhedron:

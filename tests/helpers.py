@@ -11,8 +11,10 @@ eliminations replaced (inverse, lattice reduction, row echelon form, rank
 and kernel), and :func:`reference_special_matrix` is the full block-form
 builder that ``special_matrix`` replaced, with the positivity decision read
 off it; all are kept for differential tests.  The
-vector helpers and the cone membership test at the end have no caller left
-in the library.
+helpers at the end have no caller left in the library: the vector helpers,
+the identity matrix, the determinant, the cone membership test, and
+:func:`is_bounded`, the double-description boundedness test that the
+component pipeline replaced by reading ``Unbounded`` off ``lattice_points``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Sequence
 
 from glaurent.exactmat import (
     IntMatrix,
+    _bareiss,
     det_and_scaled_inverse,
-    determinant,
     dot,
     rational_rank,
     smith_normal_form,
@@ -35,6 +37,7 @@ from glaurent.exactmat import (
 from glaurent.grading import ActionSpec, associated_vectors
 from glaurent.polycone import (
     NOT_CONTAINED,
+    Polyhedron,
     RationalCone,
     dual_basis_vectors,
     dual_cone,
@@ -456,9 +459,24 @@ def vscale(c, v: Sequence) -> tuple:
     return tuple(c * x for x in v)
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    return _bareiss(a)[0]
+
+
 def cone_contains(cone: RationalCone, v) -> bool:
     """Exact membership test, via the cached dual description."""
     return all(dot(u, v) >= 0 for u in dual_cone(cone).generators)
+
+
+def is_bounded(poly: Polyhedron) -> bool:
+    """Whether the polyhedron is bounded (its recession cone is trivial)."""
+    recession = RationalCone(tuple(a for a, _ in poly.rows), poly.dim)
+    return not dual_cone(recession).generators
 
 
 def reference_positivity_test(spec: ActionSpec) -> PositivityVerdict:

@@ -13,8 +13,10 @@ from pathlib import Path
 
 from helpers import (
     degree_zero_box_points,
+    determinant,
     factors_through,
     forms_member,
+    identity,
     image_box_points,
     membership_forms,
     random_spec,
@@ -30,17 +32,16 @@ from oracle import (
     nonneg_combination_checker,
 )
 
+from glaurent import components
 from glaurent.components import (
     FiniteBasis,
     ModuleGenerators,
-    _component_with_representative,
     component,
     component_dimension,
     s0_generators,
 )
 from glaurent.exactmat import (
     IntMatrix,
-    determinant,
     dot,
     integer_kernel,
     smith_normal_form,
@@ -117,7 +118,7 @@ def test_smith_normal_form_contract():
                 assert diag[i + 1] % diag[i] == 0
 
     check(IntMatrix.from_rows([(0, 0), (0, 0)], 2))
-    check(IntMatrix.identity(4))
+    check(identity(4))
     check(IntMatrix.from_rows([(7,)], 1))
     for _ in range(500):
         nrows = rng.randint(1, 6)
@@ -208,7 +209,15 @@ def test_finite_component_dimensions_match_enumeration():
             )
 
 
-def test_component_independent_of_representative():
+def component_at(monkeypatch, spec, a, phi):
+    """``component`` with its representative search answered by ``phi``."""
+    monkeypatch.setattr(components, "find_representative", lambda *args: phi)
+    desc = component(spec, a)
+    assert desc.representative == phi
+    return desc
+
+
+def test_component_independent_of_representative(monkeypatch):
     """For 50 (instance, degree) pairs admitting two distinct monomial
     representatives, the emitted monomial sets are identical.
 
@@ -246,8 +255,8 @@ def test_component_independent_of_representative():
         if phi2 is None:
             continue
         pairs += 1
-        d1 = _component_with_representative(spec, kd, a, phi, False)
-        d2 = _component_with_representative(spec, kd, a, phi2, False)
+        d1 = component_at(monkeypatch, spec, a, phi)
+        d2 = component_at(monkeypatch, spec, a, phi2)
         k1, k2 = d1.kind, d2.kind
         if isinstance(k1, FiniteBasis):
             assert isinstance(k2, FiniteBasis), (spec.weights.rows, a, phi, phi2)

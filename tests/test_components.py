@@ -1,13 +1,14 @@
 """Unit tests for graded-component descriptions."""
 
+import collections
 import itertools
 import random
 
 import pytest
-from helpers import random_spec
+from helpers import is_bounded, random_spec
 from oracle import nonneg_combination_checker, prune_points
 
-from glaurent import grading
+from glaurent import components, grading
 from glaurent.components import (
     INFINITE,
     FiniteBasis,
@@ -22,7 +23,7 @@ from glaurent.components import (
 )
 from glaurent.exactmat import IntMatrix
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
-from glaurent.polycone import is_bounded, polytope_part
+from glaurent.polycone import Unbounded, lattice_points, polytope_part
 
 
 def spec_of(r, s, p, torsion, rows):
@@ -177,10 +178,69 @@ class TestPruneDifferential:
             if is_bounded(quotient):
                 continue
             region = _generating_points(quotient, prune=False)
-            recession_hb = polytope_part(quotient)[2].elements
+            recession_hb = polytope_part(quotient)[1].elements
             expected = prune_points(region, quotient, recession_hb)
             assert _generating_points(quotient, prune=True) == expected, spec
             done += 1
+
+
+class TestFinitenessFromEnumeration:
+    """``lattice_points`` is the pipeline's only boundedness test.
+
+    Every component polytope, and its lineality quotient, holds the
+    representative's point ``0``, so the enumeration raises ``Unbounded``
+    exactly when the reference double-description test says unbounded.
+    """
+
+    @staticmethod
+    def check(monkeypatch, spec, phi, seen):
+        kd = associated_vectors(spec)
+        poly = build_polytope(kd, phi)
+        quotient, _, _ = _split_lineality(kd, poly)
+        bounded = []
+        for p in (poly, quotient):
+            assert all(c <= 0 for _, c in p.rows), (spec, phi)
+            bounded.append(is_bounded(p))
+            try:
+                lattice_points(p)
+                enumerated = True
+            except Unbounded:
+                enumerated = False
+            assert enumerated == bounded[-1], (spec, phi, p)
+        finite, quotient_bounded = bounded
+        monkeypatch.setattr(components, "find_representative", lambda *args: phi)
+        a = degree(spec, phi)
+        assert isinstance(component(spec, a).kind, FiniteBasis) == finite, (spec, phi)
+        assert (component_dimension(spec, a) is not INFINITE) == finite, (spec, phi)
+        seen["finite"] += finite
+        seen["unbounded quotient"] += not quotient_bounded
+        seen["bounded quotient, infinite"] += quotient_bounded and not finite
+        return finite
+
+    def test_enumeration_decides_finiteness(self, monkeypatch):
+        # 2,000 (spec, phi) pairs with torsion, Laurent columns and 1-2
+        # weight rows; each finite one is repeated with a zero-weight
+        # Laurent column appended, a unit of degree zero, which makes the
+        # component infinite with a bounded quotient
+        rng = random.Random(1300)
+        seen = collections.Counter()
+        pairs = 0
+        while pairs < 2000:
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=1, lo=-4, hi=4)
+            if spec.m > 2:
+                continue
+            phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
+            phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
+            pairs += 1
+            if self.check(monkeypatch, spec, phi, seen):
+                rows = [row + (0,) for row in spec.weights.rows]
+                unit = ActionSpec(
+                    spec.r, spec.s + 1, spec.p, spec.torsion, IntMatrix.from_rows(rows)
+                )
+                assert not self.check(monkeypatch, unit, phi + (rng.randint(-2, 2),), seen)
+        assert seen["finite"] >= 100, seen
+        assert seen["unbounded quotient"] >= 100, seen
+        assert seen["bounded quotient, infinite"] >= 20, seen
 
 
 def test_build_polytope_is_defined_once():

@@ -8,12 +8,14 @@ from math import prod
 import pytest
 import sympy
 from helpers import (
+    determinant,
     fraction_inverse,
     fraction_kernel_basis,
     fraction_primitive,
     fraction_rank,
     fraction_reduce_mod_lattice,
     fraction_rref,
+    identity,
     vscale,
     vsub,
 )
@@ -26,7 +28,6 @@ from glaurent.exactmat import (
     SingularMatrix,
     _rref,
     det_and_scaled_inverse,
-    determinant,
     dot,
     integer_kernel,
     primitive,
@@ -87,7 +88,7 @@ class TestIntMatrix:
         assert a.apply((1, 1)) == (3, 7)
 
     def test_identity(self):
-        assert IntMatrix.identity(3).apply((4, 5, 6)) == (4, 5, 6)
+        assert identity(3).apply((4, 5, 6)) == (4, 5, 6)
 
     @pytest.mark.parametrize("bad", [1.7, 2.0, True, Fraction(3, 1), "1"])
     def test_non_integer_entries_rejected(self, bad):
@@ -95,6 +96,18 @@ class TestIntMatrix:
             IntMatrix.from_rows([[bad, 1]], 2)
         with pytest.raises(TypeError, match="expected an integer"):
             IntMatrix.from_columns([(1, 2), (3, bad)], 2)
+
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(3, 1), "1"])
+    def test_constructor_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError, match="expected an integer"):
+            IntMatrix(((bad, 1),), 2)
+        with pytest.raises(TypeError, match="expected an integer"):
+            IntMatrix(((1, 2), (3, bad)), 2)
+
+    def test_constructor_stores_tuples(self):
+        a = IntMatrix([[1, 2], [3, 4]], 2)
+        assert a.rows == ((1, 2), (3, 4))
+        assert a == IntMatrix.from_rows([(1, 2), (3, 4)])
 
 
 class TestVectors:
@@ -370,7 +383,7 @@ class TestUnimodularCompletion:
             q = lattice.cols
             seen_q.add((q, n))
             u, u_inv = unimodular_completion(lattice)
-            assert u @ u_inv == IntMatrix.identity(n)
+            assert u @ u_inv == identity(n)
             assert abs(determinant(u)) == 1
             assert not any(any(row) for row in (u @ lattice).rows[q:])
         assert any(q == 0 for q, _ in seen_q) and any(q == n for q, n in seen_q)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_spec
+from helpers import identity, random_spec
 from oracle import find_representative_by_box
 
 from glaurent.components import component, component_dimension
@@ -30,8 +30,8 @@ def mod2() -> ActionSpec:
     return ActionSpec(2, 0, 0, (2,), IntMatrix.from_rows([(1, 1)], 2))
 
 
-IDENTITY = ActionSpec(2, 0, 2, (), IntMatrix.identity(2))
-LAURENT_L0 = ActionSpec(1, 1, 2, (), IntMatrix.identity(2))
+IDENTITY = ActionSpec(2, 0, 2, (), identity(2))
+LAURENT_L0 = ActionSpec(1, 1, 2, (), identity(2))
 ZERO_RAY = ActionSpec(1, 1, 1, (), IntMatrix.from_rows([(1, 0)], 2))
 BOUNDS = (0, 1, 2, 3, 5, 8)
 
@@ -63,6 +63,11 @@ class TestActionSpec:
         rows = [(1, 1)] + [(1, 0)] * len(torsion)
         with pytest.raises(TypeError, match="expected an integer"):
             ActionSpec(r, s, p, torsion, IntMatrix.from_rows(rows, 2))
+
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(3, 1), "1"])
+    def test_non_integer_weights_rejected(self, bad):
+        with pytest.raises(TypeError, match="expected an integer"):
+            ActionSpec(2, 0, 1, (), IntMatrix(((bad, 1),), 2))
 
     def test_torsion_list_stored_as_tuple(self):
         spec = ActionSpec(2, 0, 1, [3], IntMatrix.from_rows([(1, 1), (1, 0)], 2))
@@ -147,7 +152,7 @@ class TestAssociatedVectors:
         assert kd.rays == ((-1,), (1,))
 
     def test_trivial_kernel(self):
-        spec = ActionSpec(2, 0, 2, (), IntMatrix.identity(2))
+        spec = ActionSpec(2, 0, 2, (), identity(2))
         kd = associated_vectors(spec)
         assert kd.l == 0 and kd.rays == ((), ())
 

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from helpers import cone_contains
+from helpers import cone_contains, is_bounded
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
 from glaurent import polycone
@@ -18,7 +18,6 @@ from glaurent.polycone import (
     dual_cone,
     hilbert_basis,
     intersect,
-    is_bounded,
     is_in_halfspace_extend,
     lattice_points,
     polytope_part,
@@ -352,13 +351,13 @@ class TestHilbertBasisDifferential:
 class TestPolytopePart:
     def test_halfline(self):
         p = Polyhedron((((1,), 0),), 1)
-        core, _, rec = polytope_part(p)
+        core, rec = polytope_part(p)
         assert sorted(core) == [(0,)]
         assert sorted(rec.elements) == [(1,)]
 
     def test_shifted_halfline(self):
         p = Polyhedron((((1,), -2),), 1)
-        core, _, rec = polytope_part(p)
+        core, rec = polytope_part(p)
         assert sorted(rec.elements) == [(1,)]
         for v in core:
             assert v[0] >= -2
@@ -388,13 +387,13 @@ class TestPolytopePart:
         ],
     )
     def test_real_points_without_lattice_points(self, rows, dim, level0):
-        core, _, rec = polytope_part(Polyhedron(rows, dim))
+        core, rec = polytope_part(Polyhedron(rows, dim))
         assert core == ()
         assert rec.elements == level0
 
     def test_support_hull_contains_core(self):
         p = Polyhedron((((1, 1), 0), ((1, -1), 0)), 2)
-        core, _, rec = polytope_part(p)
+        core, rec = polytope_part(p)
         hull = support_hull_rows(core, rec.elements, [row for row, _ in p.rows], 2)
         region = intersect(p, hull)
         assert is_bounded(region)
