@@ -107,7 +107,7 @@ def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
         return ()
     basis = hilbert_basis(dual)
     return tuple(
-        sorted((Monomial(kd.basis.apply(h)) for h in basis.elements), reverse=True)
+        map(Monomial, sorted((kd.basis.apply(h) for h in basis.elements), reverse=True))
     )
 
 
@@ -136,10 +136,10 @@ def component(
     except Unbounded:
         pass
     else:
-        monomials = sorted(
-            (Monomial(vadd(phi, kd.basis.apply(u))) for u in points), reverse=True
-        )
-        return ComponentDescription(a, phi, FiniteBasis(tuple(monomials)))
+        # sorting the exponent tuples before wrapping them spares a Python
+        # level Monomial.__lt__ call per comparison; the order is the same
+        exponents = sorted((vadd(phi, kd.basis.apply(u)) for u in points), reverse=True)
+        return ComponentDescription(a, phi, FiniteBasis(tuple(map(Monomial, exponents))))
     quotient, lift, units = _split_lineality(kd, poly)
     points = _generating_points(quotient, prune)
     # lift through the zero section, then reduce each exponent vector
@@ -149,10 +149,8 @@ def component(
     for u_bar in points:
         g = vadd(phi, lift.apply(u_bar))
         seen.add(reduce_mod_lattice(units, g))
-    sa = sorted((Monomial(g) for g in seen), reverse=True)
-    return ComponentDescription(
-        a, phi, ModuleGenerators(s0_generators(spec), tuple(sa))
-    )
+    sa = tuple(map(Monomial, sorted(seen, reverse=True)))
+    return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
 
 
 def _split_lineality(kd: KernelData, poly: Polyhedron):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -85,7 +86,7 @@ class IntMatrix:
         """Matrix-vector product ``self @ v``."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector of length {len(v)} for {self.cols} columns")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.rows)
+        return tuple(sum(map(mul, r, v)) for r in self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.nrows:
@@ -93,7 +94,7 @@ class IntMatrix:
         ocols = [other.col(j) for j in range(other.cols)]
         return IntMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, c)) for c in ocols)
+                tuple(sum(map(mul, row, c)) for c in ocols)
                 for row in self.rows
             ),
             other.cols,
@@ -412,11 +413,13 @@ def int_vector(values: Iterable) -> Vec:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionMismatch("dot product of different lengths")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise DimensionMismatch("sum of vectors of different lengths")
+    return tuple(map(add, u, v))
 
 
 def primitive(v: Sequence[int]) -> Vec:

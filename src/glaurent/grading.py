@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .exactmat import (
     DimensionMismatch,
@@ -227,10 +228,6 @@ def build_polytope(kd: KernelData, phi: Vec) -> Polyhedron:
     return Polyhedron(rows, kd.l)
 
 
-def _colex_key(v: Vec) -> Vec:
-    return tuple(reversed(v))
-
-
 def find_representative(
     spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = 10
 ) -> Vec:
@@ -241,7 +238,12 @@ def find_representative(
     particular solution ``phi0``, the one with colexicographically smallest
     exponents is returned.  Polynomial variables must have nonnegative
     exponents; Laurent variables are free.  The candidates are the lattice
-    points of the polytope cut by the search box, by Fourier-Motzkin.
+    points of the polytope cut by the search box, by Fourier-Motzkin.  Since
+    ``phi0`` is a common offset, colex order on ``phi0 + K z`` is lex order
+    on the values of the rows of ``K``, last row first: the candidates are
+    cut down to those least on the last row, then on the row before, until
+    one is left, and only its exponent vector is built.  One is always left,
+    as the candidates are distinct and ``K`` has full column rank.
 
     Raises :class:`RepresentativeNotFound` — with ``conclusive=True`` when
     ``a`` is not in the image of the degree map at all, and
@@ -274,7 +276,13 @@ def find_representative(
     points = lattice_points(intersect(build_polytope(kd, phi0), box))
     if not points:
         raise RepresentativeNotFound(search_bound, conclusive=False)
-    return min((vadd(phi0, kd.basis.apply(z)) for z in points), key=_colex_key)
+    for row in reversed(kd.basis.rows):
+        if len(points) == 1:
+            break
+        values = [sum(map(mul, row, z)) for z in points]
+        least = min(values)
+        points = [z for z, value in zip(points, values) if value == least]
+    return vadd(phi0, kd.basis.apply(points[0]))
 
 
 def _recentre(kd: KernelData, phi0: Vec) -> Vec:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import gcd
+from operator import le, mul
 
 from .exactmat import (
     IntMatrix,
@@ -23,7 +23,6 @@ from .exactmat import (
     primitive,
     rational_kernel_basis,
     rational_rank,
-    smith_normal_form,
     solve_integer,
     unimodular_completion,
 )
@@ -337,8 +336,9 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
 
     One pulling triangulation covers the cone, so every irreducible element
     is a generator or a nonzero point of the half-open parallelepiped of a
-    simplex (Bruns-Gubeladze 2009, 2.C), listed as ``Z^d / G Z^d`` through
-    the SNF of the simplex matrix ``G`` (Bruns-Ichim 2010).  A greedy pass
+    simplex (Bruns-Gubeladze 2009, 2.C), listed as an orbit of the group
+    ``Z^d / G Z^d`` of the simplex matrix ``G`` by
+    :func:`_parallelepiped_points` (Bruns-Ichim 2010).  A greedy pass
     ordered by a functional positive on the cone removes the reducible ones.
     """
     gens = cone.generators
@@ -363,32 +363,50 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
 
     candidates = set(gens)
     for simplex in pulling((1 << len(gens)) - 1):
-        mat = IntMatrix.from_columns([gens[j] for j in simplex], d)
-        det, adj = det_and_scaled_inverse(mat)
-        size = abs(det)
-        if size == 1:
-            continue
-        # u @ mat @ v = s: the classes x = u^-1 c, 0 <= c_i < s_ii, of Z^d / mat Z^d
-        # give the points mat @ mu / |det|, mu = sign(det) adj x mod |det|
-        u, s, _ = smith_normal_form(mat)
-        det_u, adj_u = det_and_scaled_inverse(u)
-        to_mu = adj @ adj_u
-        scale = det_u if det > 0 else -det_u  # u^-1 = det(u) adj(u)
-        for c in product(*(range(s.rows[i][i]) for i in range(d))):
-            mu = [scale * x % size for x in to_mu.apply(c)]
-            if any(mu):
-                candidates.add(tuple(dot(row, mu) // size for row in mat.rows))
+        candidates.update(
+            _parallelepiped_points(IntMatrix.from_columns([gens[j] for j in simplex], d))
+        )
     # v reduces by a kept w iff v - w is in the cone, i.e. iff w's values on
     # the dual rays are at most v's; the dual spans, so values separate points
-    values = {v: tuple(dot(u, v) for u in dual) for v in candidates}
+    values = {v: tuple(sum(map(mul, u, v)) for u in dual) for v in candidates}
     kept: list[Vec] = []
     kept_values: list[Vec] = []
     for v in sorted(candidates, key=lambda v: (sum(values[v]), v)):
         fv = values[v]
-        if not any(all(a <= b for a, b in zip(fw, fv)) for fw in kept_values):
+        if not any(all(map(le, fw, fv)) for fw in kept_values):
             kept.append(v)
             kept_values.append(fv)
     return kept
+
+
+def _parallelepiped_points(mat: IntMatrix) -> list[Vec]:
+    """The nonzero lattice points of the half-open parallelepiped spanned by
+    the columns of a nonsingular square matrix ``G``.
+
+    ``x -> sign(det) adj(G) x mod |det|`` maps ``Z^d`` onto a group of
+    ``|det|`` vectors ``mu`` with kernel ``G Z^d``, and the class of ``mu``
+    holds the parallelepiped point ``G mu / |det|``.  The group is the orbit
+    of ``0`` under the images of the unit vectors: each image ``g`` not yet
+    in the orbit ``H`` adds the cosets ``H + k g`` until ``k g`` is in ``H``.
+    """
+    det, adj = det_and_scaled_inverse(mat)
+    size = abs(det)
+    sign = 1 if det > 0 else -1
+    group = [(0,) * mat.cols]
+    members = set(group)
+    for column in zip(*adj.rows):
+        if len(group) == size:
+            break
+        step = tuple(sign * x % size for x in column)
+        shift = step
+        cosets: list[Vec] = []
+        while shift not in members:
+            coset = [tuple([(a + b) % size for a, b in zip(mu, shift)]) for mu in group]
+            cosets += coset
+            members.update(coset)
+            shift = tuple([(a + b) % size for a, b in zip(shift, step)])
+        group += cosets
+    return [tuple(sum(map(mul, row, mu)) // size for row in mat.rows) for mu in group[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ are the straightforward rational routes that the library's integer
 eliminations replaced (inverse, lattice reduction, row echelon form, rank
 and kernel), and :func:`reference_special_matrix` is the full block-form
 builder that ``special_matrix`` replaced, with the positivity decision read
-off it; all are kept for differential tests.  The
+off it; :func:`reference_parallelepiped_points` is the SNF group product
+that listed the Hilbert basis parallelepipeds before their group orbits;
+all are kept for differential tests.  The
 helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -445,6 +447,35 @@ def reference_special_matrix(spec: ActionSpec) -> ReferenceSpecialForm:
     l3 = transformed.submatrix(list(range(p, p + t)), list(range(l)))
     l4 = transformed.submatrix(list(range(p, p + t)), list(range(l, n)))
     return ReferenceSpecialForm(l1, l3, l4, d, gamma, delta)
+
+
+# ---------------------------------------------------------------------------
+# reference parallelepiped listing: the SNF group product
+
+
+def reference_parallelepiped_points(mat: IntMatrix) -> set[tuple[int, ...]]:
+    """The nonzero points of the half-open parallelepiped of ``mat``'s columns,
+    listed as the group ``Z^d / G Z^d`` from the SNF of ``G``.
+
+    ``u @ mat @ v = s``: the classes ``x = u^-1 c``, ``0 <= c_i < s_ii``,
+    give the points ``mat @ mu / |det|`` with ``mu = sign(det) adj x mod
+    |det|``.
+    """
+    d = mat.cols
+    det, adj = det_and_scaled_inverse(mat)
+    size = abs(det)
+    points: set[tuple[int, ...]] = set()
+    if size == 1:
+        return points
+    u, s, _ = smith_normal_form(mat)
+    det_u, adj_u = det_and_scaled_inverse(u)
+    to_mu = adj @ adj_u
+    scale = det_u if det > 0 else -det_u  # u^-1 = det(u) adj(u)
+    for c in product(*(range(s.rows[i][i]) for i in range(d))):
+        mu = [scale * x % size for x in to_mu.apply(c)]
+        if any(mu):
+            points.add(tuple(dot(row, mu) // size for row in mat.rows))
+    return points
 
 
 # ---------------------------------------------------------------------------

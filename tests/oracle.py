@@ -10,7 +10,8 @@ The exceptions are the brute-force routines that the library replaced, kept
 as differential references: :func:`dual_cone_by_subsets`, the rational
 subset enumeration behind the double-description dual;
 :func:`find_representative_by_box`, the scan of every point of the search
-box behind the Fourier-Motzkin representative search;
+box behind the Fourier-Motzkin representative search, ranked by the colex
+key that the search itself replaced by a cascade over the lattice rows;
 :func:`prune_points`, the filter that thinned module generators down to the
 lattice core of the polyhedron; and :func:`hilbert_basis_by_subsets`, the
 closed parallelepipeds of every nonsingular generator subset, listed by
@@ -40,7 +41,6 @@ from glaurent.grading import (
     KernelData,
     Monomial,
     RepresentativeNotFound,
-    _colex_key,
     _recentre,
     _stacked_matrix,
     degree,
@@ -206,11 +206,27 @@ def dual_cone_by_subsets(cone: RationalCone) -> RationalCone:
     return RationalCone(tuple(sorted(generators)), d)
 
 
+def _colex_key(v: Vec) -> Vec:
+    return tuple(reversed(v))
+
+
 def find_representative_by_box(
     spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = 10
 ) -> Vec:
     """The representative of ``grading.find_representative``, by trying every
     one of the ``(2B+1)^l`` points of the search box."""
+    candidates = representative_candidates_by_box(spec, kd, a, search_bound)
+    if not candidates:
+        raise RepresentativeNotFound(search_bound, conclusive=False)
+    return min(candidates, key=_colex_key)
+
+
+def representative_candidates_by_box(
+    spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = 10
+) -> list[Vec]:
+    """Every valid exponent vector ``phi0 + K z`` with ``z`` in the search box,
+    in the box's order; raises as the representative search does when the
+    degree is not attained at all."""
     if len(a.moduli) != spec.t or a.moduli != spec.torsion:
         raise DimensionMismatch("degree vector does not match the action's torsion")
     if len(a.free) != spec.p:
@@ -220,19 +236,15 @@ def find_representative_by_box(
     if sol is None:
         raise RepresentativeNotFound(search_bound, conclusive=True)
     phi0 = _recentre(kd, sol[: spec.n])
-    best: Vec | None = None
+    candidates = []
     for z in _box(kd.l, search_bound):
         cand = tuple(
             phi0[i] + sum(kd.basis.rows[i][k] * z[k] for k in range(kd.l))
             for i in range(spec.n)
         )
-        if any(cand[i] < 0 for i in range(spec.r)):
-            continue
-        if best is None or _colex_key(cand) < _colex_key(best):
-            best = cand
-    if best is None:
-        raise RepresentativeNotFound(search_bound, conclusive=False)
-    return best
+        if all(cand[i] >= 0 for i in range(spec.r)):
+            candidates.append(cand)
+    return candidates
 
 
 def _box(dim: int, bound: int):

@@ -117,6 +117,20 @@ class TestVectors:
         assert vscale(3, (1, -2)) == (3, -6)
         assert dot((1, 2), (3, 4)) == 11
 
+    @pytest.mark.parametrize("u, v", [((1, 2), (1,)), ((1,), (1, 2)), ((), (0,))])
+    def test_length_mismatch_raises(self, u, v):
+        # vadd used to truncate to the shorter operand: vadd((1, 2), (1,)) == (2,)
+        with pytest.raises(DimensionMismatch, match="different lengths"):
+            vadd(u, v)
+        with pytest.raises(DimensionMismatch, match="different lengths"):
+            dot(u, v)
+
+    @pytest.mark.parametrize("v", [(1,), (1, 2, 3), ()])
+    def test_apply_length_mismatch_raises(self, v):
+        a = IntMatrix.from_rows([(1, 2), (3, 4)], 2)
+        with pytest.raises(DimensionMismatch, match=f"vector of length {len(v)} for 2 columns"):
+            a.apply(v)
+
     def test_primitive(self):
         assert primitive((2, 4, -6)) == (1, 2, -3)
         assert primitive((0, 0)) == (0, 0)

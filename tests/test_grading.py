@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import identity, random_spec
-from oracle import find_representative_by_box
+from oracle import find_representative_by_box, representative_candidates_by_box
 
 from glaurent.components import component, component_dimension
 from glaurent.exactmat import DimensionMismatch, IntMatrix, solve_integer
@@ -314,6 +314,41 @@ class TestRepresentativeAgainstBoxScan:
             fm = outcome(find_representative, spec, kd, a, 8)
             assert fm == outcome(find_representative_by_box, spec, kd, a, 8), spec
             done += 1
+
+
+def with_free_laurent_last(spec: ActionSpec) -> ActionSpec:
+    """``spec`` with one more Laurent variable, of weight zero, placed last:
+    ``e_n`` joins the degree-zero lattice, so the last exponent is free."""
+    rows = [row + (0,) for row in spec.weights.rows]
+    return ActionSpec(spec.r, spec.s + 1, spec.p, spec.torsion,
+                      IntMatrix.from_rows(rows, spec.n + 1))
+
+
+class TestRepresentativeCascade:
+    """Instances where the last exponent alone does not decide the colex
+    minimum, so the search cuts its candidates by more than one row of the
+    lattice basis: a zero-weight Laurent variable last, or torsion rows."""
+
+    def test_ties_on_the_last_row(self):
+        rng = random.Random(7300)
+        done = ties = 0
+        while done < 300:
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=2, min_r=0)
+            if rng.random() < 0.5:
+                spec = with_free_laurent_last(spec)
+            kd = associated_vectors(spec)
+            bound = rng.choice((1, 2, 3))
+            if not 1 <= kd.l <= 4 or (kd.l == 4 and bound == 3):
+                continue
+            a = DegreeVector.from_values(spec, [rng.randint(-6, 6) for _ in range(spec.m)])
+            fm = outcome(find_representative, spec, kd, a, bound)
+            assert fm == outcome(find_representative_by_box, spec, kd, a, bound), spec
+            done += 1
+            if fm[0] == "found":
+                candidates = representative_candidates_by_box(spec, kd, a, bound)
+                least = min(c[-1] for c in candidates)
+                ties += sum(c[-1] == least for c in candidates) > 1
+        assert ties >= 50
 
 
 class TestKernelLatticeMeaning:

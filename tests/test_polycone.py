@@ -2,9 +2,10 @@
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
-from helpers import cone_contains, is_bounded
+from helpers import cone_contains, determinant, is_bounded, reference_parallelepiped_points
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
 from glaurent import polycone
@@ -24,7 +25,13 @@ from glaurent.polycone import (
     rays_in_halfspace,
     support_hull_rows,
 )
-from glaurent.exactmat import dot, rational_kernel_basis, rational_rank
+from glaurent.exactmat import (
+    IntMatrix,
+    dot,
+    rational_kernel_basis,
+    rational_rank,
+    smith_normal_form,
+)
 
 
 class TestRationalCone:
@@ -346,6 +353,76 @@ class TestHilbertBasisDifferential:
         cone = RationalCone(gens, dim)
         assert hilbert_basis(cone).elements == expected
         assert sorted(hilbert_basis_by_subsets(cone)) == list(expected)
+
+
+def random_simplex_matrix(rng, d: int, max_det: int) -> IntMatrix:
+    """A nonsingular ``d x d`` matrix with ``|det| <= max_det``.
+
+    Half are dense with entries shrinking as ``d`` grows; the other half are
+    ``U @ diag(s) @ V`` with ``U``, ``V`` random unimodular and ``s`` a random
+    chain of invariant factors, so that non-cyclic groups occur too.
+    """
+    if rng.random() < 0.5:
+        span = {1: max_det, 2: 12, 3: 4, 4: 2, 5: 2, 6: 1}[d]
+        while True:
+            mat = IntMatrix.from_rows(
+                [[rng.randint(-span, span) for _ in range(d)] for _ in range(d)], d
+            )
+            if 0 < abs(determinant(mat)) <= max_det:
+                return mat
+    factors: list[int] = []
+    for i in range(d):
+        # a divisor chain; each later factor is at least this one
+        grown = (factors[-1] if factors else 1) * rng.choice([1, 1, 2, 3])
+        if prod(factors) * grown ** (d - i) > max_det:
+            grown = factors[-1] if factors else 1
+        factors.append(grown)
+    rows = [[factors[i] * (i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d):
+        # sign flips and row and column additions keep the invariant factors
+        i, j = rng.randrange(d), rng.randrange(d)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += g * row[j]
+    return IntMatrix.from_rows(rows, d)
+
+
+class TestParallelepipedOrbit:
+    """The parallelepiped points listed as a group orbit against the SNF
+    group product that listed them before."""
+
+    # 1,050 simplices, |det| up to 300
+    @pytest.mark.parametrize(
+        "d, count", [(1, 100), (2, 250), (3, 250), (4, 200), (5, 150), (6, 100)]
+    )
+    def test_matches_snf_product(self, d, count):
+        rng = random.Random(2300 + d)
+        non_cyclic = 0
+        largest = 0
+        for _ in range(count):
+            mat = random_simplex_matrix(rng, d, 300)
+            size = abs(determinant(mat))
+            points = polycone._parallelepiped_points(mat)
+            assert len(points) == size - 1, mat
+            assert set(points) == reference_parallelepiped_points(mat), mat
+            _, snf, _ = smith_normal_form(mat)
+            non_cyclic += sum(snf.rows[i][i] > 1 for i in range(d)) > 1
+            largest = max(largest, size)
+        assert largest > 30
+        assert d == 1 or non_cyclic >= 10
+
+    def test_unimodular_has_no_points(self):
+        mat = IntMatrix.from_rows([(1, 1, 0), (0, 1, 1), (0, 0, 1)], 3)
+        assert polycone._parallelepiped_points(mat) == []
+
+    def test_two_by_two_group(self):
+        # Z^2 / 2 Z^2 is not cyclic: three nonzero classes, each its own point
+        mat = IntMatrix.from_rows([(2, 0), (0, 2)], 2)
+        assert sorted(polycone._parallelepiped_points(mat)) == [(0, 1), (1, 0), (1, 1)]
 
 
 class TestPolytopePart:
