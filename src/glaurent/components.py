@@ -14,18 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import (
-    IntMatrix,
-    Vec,
-    integer_kernel,
-    reduce_mod_lattice,
-    unimodular_completion,
-    vadd,
-)
+from .exactmat import Vec, reduce_mod_lattice, vadd
 from .grading import (
     ActionSpec,
     DegreeVector,
-    KernelData,
     Monomial,
     RepresentativeNotFound,
     associated_vectors,
@@ -38,9 +30,9 @@ from .polycone import (
     Unbounded,
     dual_cone,
     hilbert_basis,
-    intersect,
     lattice_points,
     polytope_part,
+    split_lineality,
     support_hull_rows,
 )
 
@@ -115,15 +107,18 @@ def component(
     spec: ActionSpec,
     a: DegreeVector,
     search_bound: int = 10,
-    prune: bool = False,
 ) -> ComponentDescription:
     """Describe the graded component of degree ``a``.
 
     Finds a canonical exponent vector of degree ``a`` (or reports
     :class:`NotInQ`), then returns a :class:`FiniteBasis` when the component
-    is finite dimensional and :class:`ModuleGenerators` otherwise.  With
-    ``prune`` the module generators are the minimal ones: no generator is
-    another generator times a degree-zero monomial.
+    is finite dimensional and :class:`ModuleGenerators` otherwise.
+
+    The module generators are the lattice points of the polyhedron with its
+    lineality (the degree-zero units) split off, if that quotient is
+    bounded.  Otherwise they are cut from a region around the lattice core
+    of :func:`polytope_part` plus the zonotope of the recession Hilbert
+    basis, clipped to the quotient; the core alone is the minimal set.
     """
     kd = associated_vectors(spec)
     try:
@@ -140,75 +135,25 @@ def component(
         # level Monomial.__lt__ call per comparison; the order is the same
         exponents = sorted((vadd(phi, kd.basis.apply(u)) for u in points), reverse=True)
         return ComponentDescription(a, phi, FiniteBasis(tuple(map(Monomial, exponents))))
-    quotient, lift, units = _split_lineality(kd, poly)
-    points = _generating_points(quotient, prune)
+    quotient, section, lin = split_lineality(poly)
+    try:
+        points = lattice_points(quotient)
+    except Unbounded:
+        core, recession_hb = polytope_part(quotient)
+        normals = [row for row, _ in quotient.rows]
+        region = support_hull_rows(core, recession_hb.elements, normals, quotient.dim)
+        points = lattice_points(Polyhedron(quotient.rows + region.rows, quotient.dim))
     # lift through the zero section, then reduce each exponent vector
     # modulo the unit lattice; the result depends only on the component,
     # not on the representative
+    lift = kd.basis @ section
+    units = kd.basis @ lin
     seen: set[Vec] = set()
     for u_bar in points:
         g = vadd(phi, lift.apply(u_bar))
         seen.add(reduce_mod_lattice(units, g))
     sa = tuple(map(Monomial, sorted(seen, reverse=True)))
     return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
-
-
-def _split_lineality(kd: KernelData, poly: Polyhedron):
-    """Factor out the lineality of the polyhedron's recession cone.
-
-    The polyhedron is invariant under translation along the common kernel of
-    its defining rows, so it is a product of that subspace with a quotient
-    polyhedron whose recession cone is pointed.  Returns the quotient, the
-    exponent map of an integral section of the projection (as a matrix), and
-    the exponent lattice of the invertible monomials (the image of the
-    lineality lattice).
-    """
-    l = kd.l
-    lin = integer_kernel(IntMatrix.from_rows([tuple(v) for v in kd.rays], l))
-    q = lin.cols
-    _, inverse = unimodular_completion(lin)
-    inverse_t = inverse.transpose()
-    rows = []
-    for a_vec, c in poly.rows:
-        transformed = inverse_t.apply(a_vec)
-        assert not any(transformed[:q]), "row must vanish on the lineality"
-        rows.append((transformed[q:], c))
-    quotient = Polyhedron(tuple(rows), l - q)
-    # the section sends u_bar to inverse @ (0, ..., 0, u_bar)
-    lift = kd.basis @ inverse.submatrix(range(l), range(q, l))
-    return quotient, lift, kd.basis @ lin
-
-
-def _generating_points(poly: Polyhedron, prune: bool) -> list[Vec]:
-    """Lattice points covering a polyhedron with pointed recession cone.
-
-    A bounded polyhedron (the component's recession cone was all lineality)
-    gives its lattice points, read straight off the enumeration.  Otherwise
-    every lattice point of the polyhedron is one of these plus a monoid
-    combination of the recession cone's Hilbert basis: the points are cut
-    from an exactly-supported region around (lattice core) + (box spanned
-    by the recession Hilbert basis), clipped to the polyhedron itself.  With
-    ``prune`` they are the minimal generators instead: the lattice core of
-    :func:`polytope_part`, the points that are no other point of the
-    polyhedron plus a nonzero recession monoid element.
-    """
-    try:
-        return lattice_points(poly)
-    except Unbounded:
-        pass
-    core, recession_hb = polytope_part(poly)
-    if prune:
-        return list(core)
-    region = intersect(
-        poly,
-        support_hull_rows(
-            core,
-            recession_hb.elements,
-            [row for row, _ in poly.rows],
-            poly.dim,
-        ),
-    )
-    return lattice_points(region)
 
 
 def component_dimension(

@@ -215,34 +215,51 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[int, int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the rows ``m``, in place,
+    pivoting on the first ``ncols`` columns in order and skipping dependent ones.
+
+    Returns ``(sign, last, pivots)``: with ``B`` the input's pivot columns,
+    ``det(B) = sign * last`` and ``m`` ends as ``last * B^-1 @ input``.
+    Every division is exact (Bareiss, Math. Comp. 22, 1968): each entry is,
+    up to sign, a minor of the input.
+    """
+    sign = 1
+    prev = 1
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            _swap_rows(m, k, piv)
+            sign = -sign
+        row_k = m[k]
+        pk = row_k[col]
+        for i in range(len(m)):
+            if i != k:
+                f = m[i][col]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
+        prev = pk
+        pivots.append(col)
+    return sign, prev, pivots
+
+
 def _bareiss(a: IntMatrix) -> tuple[int, list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of ``[a | I]``.
 
     Returns ``(det(a), adjugate rows)``, or ``(0, [])`` when ``a`` is
-    singular.  Every division is exact (Bareiss, Math. Comp. 22, 1968): after
-    step ``k`` each entry is a ``(k+1)``-minor, and the right block ends as
-    ``det * inverse`` of the row-permuted matrix.
+    singular: the right block ends as ``det * inverse`` of the row-permuted
+    matrix.
     """
     if a.nrows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.nrows
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0, []
-        if piv != k:
-            _swap_rows(m, k, piv)
-            sign = -sign
-        row_k = m[k]
-        pk = row_k[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
-        prev = pk
+    sign, prev, pivots = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        return 0, []
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 

@@ -25,7 +25,7 @@ from .exactmat import (
     solve_integer,
     vadd,
 )
-from .polycone import Polyhedron, intersect, lattice_points
+from .polycone import Polyhedron, lattice_points
 
 
 class InvalidTorsion(ValueError):
@@ -265,15 +265,12 @@ def find_representative(
     phi0 = _recentre(kd, sol[: spec.n])
     l = kd.l
     # the rows +-z_k >= -search_bound make the region bounded
-    box = Polyhedron(
-        tuple(
-            (tuple(sign if j == k else 0 for j in range(l)), -search_bound)
-            for k in range(l)
-            for sign in (1, -1)
-        ),
-        l,
+    box = tuple(
+        (tuple(sign if j == k else 0 for j in range(l)), -search_bound)
+        for k in range(l)
+        for sign in (1, -1)
     )
-    points = lattice_points(intersect(build_polytope(kd, phi0), box))
+    points = lattice_points(Polyhedron(build_polytope(kd, phi0).rows + box, l))
     if not points:
         raise RepresentativeNotFound(search_bound, conclusive=False)
     for row in reversed(kd.basis.rows):

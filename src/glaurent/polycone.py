@@ -23,7 +23,7 @@ from .exactmat import (
     primitive,
     rational_kernel_basis,
     rational_rank,
-    solve_integer,
+    smith_normal_form,
     unimodular_completion,
 )
 
@@ -98,12 +98,6 @@ class Polyhedron:
 
     rows: tuple[tuple[Vec, int], ...]
     dim: int
-
-
-def intersect(first: Polyhedron, second: Polyhedron) -> Polyhedron:
-    if first.dim != second.dim:
-        raise ValueError("cannot intersect polyhedra of different dimensions")
-    return Polyhedron(first.rows + second.rows, first.dim)
 
 
 @lru_cache(maxsize=1024)
@@ -250,7 +244,7 @@ def lattice_points(poly: Polyhedron) -> list[Vec]:
         lo: int | None = None
         hi: int | None = None
         for a, c in systems[level]:
-            residual = c - sum(x * y for x, y in zip(a, prefix))
+            residual = c - sum(map(mul, a, prefix))
             coeff = a[level - 1]
             if coeff == 0:
                 if residual > 0:
@@ -296,15 +290,14 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     k = rational_rank(gens)
     if k < d:
         # restrict to the saturated lattice of the linear span, where the
-        # cone is full-dimensional; the monoid is carried over isomorphically
+        # cone is full-dimensional; the monoid is carried over isomorphically.
+        # With u @ lattice @ v = [I; 0] (saturated), g = lattice @ x gives
+        # x = v @ (u @ g)[:k]
         span_constraints = rational_kernel_basis(gens, d)
         lattice = integer_kernel(IntMatrix.from_rows(span_constraints, d))
-        coords = []
-        for g in gens:
-            shrunk = solve_integer(lattice, g)
-            assert shrunk is not None
-            coords.append(shrunk)
-        inner = hilbert_basis(RationalCone(tuple(coords), k))
+        u, _, v = smith_normal_form(lattice)
+        coords = tuple(v.apply(u.apply(g)[:k]) for g in gens)
+        inner = hilbert_basis(RationalCone(coords, k))
         lifted = [lattice.apply(h) for h in inner.elements]
         return HilbertBasis(tuple(sorted(lifted)))
     lin_basis = rational_kernel_basis(dual_cone(cone).generators, d)
@@ -314,14 +307,10 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
 
 
 def _hilbert_with_lineality(cone: RationalCone, lin_basis: list[Vec]) -> tuple[Vec, ...]:
+    # the quotient cone in the coordinates after the lineality is pointed
     d = cone.dim
     q = len(lin_basis)
-    lattice = integer_kernel(
-        IntMatrix.from_rows(rational_kernel_basis(lin_basis, d), d)
-    )
-    # unimodular change of coordinates moving the lineality lattice onto the
-    # first q coordinates; the quotient cone in the remaining ones is pointed
-    u_mat, u_inv = unimodular_completion(lattice)
+    _, u_mat, u_inv = _lineality_coordinates(rational_kernel_basis(lin_basis, d), d)
     quotient = RationalCone(tuple(u_mat.apply(g)[q:] for g in cone.generators), d - q)
     out = [u_inv.apply((0,) * q + h) for h in hilbert_basis(quotient).elements]
     for j in range(q):
@@ -329,6 +318,39 @@ def _hilbert_with_lineality(cone: RationalCone, lin_basis: list[Vec]) -> tuple[V
         out.append(e)
         out.append(tuple(-x for x in e))
     return tuple(sorted(set(out)))
+
+
+def _lineality_coordinates(rows, d: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The saturated lattice ``{x : <row, x> = 0 for every row}`` as the
+    columns of ``lin``, and unimodular ``(u, u_inv)`` moving it onto the
+    first ``lin.cols`` coordinates."""
+    lin = integer_kernel(IntMatrix.from_rows(rows, d))
+    u, u_inv = unimodular_completion(lin)
+    return lin, u, u_inv
+
+
+def split_lineality(poly: Polyhedron) -> tuple[Polyhedron, IntMatrix, IntMatrix]:
+    """Factor out the lineality space of the polyhedron's recession cone.
+
+    The polyhedron is invariant under translation along the common kernel of
+    its row normals, so it is a product of that subspace with a quotient
+    polyhedron whose recession cone is pointed.  Returns ``(quotient,
+    section, lin)``: the quotient in the last ``dim - q`` coordinates of a
+    unimodular basis, the ``dim x (dim - q)`` matrix of an integral section
+    of the projection (it sends a quotient point into ``poly``), and the
+    ``dim x q`` basis of the lineality lattice.
+    """
+    d = poly.dim
+    lin, _, inverse = _lineality_coordinates([a for a, _ in poly.rows], d)
+    q = lin.cols
+    inverse_t = inverse.transpose()
+    rows = []
+    for a, c in poly.rows:
+        transformed = inverse_t.apply(a)
+        assert not any(transformed[:q]), "row must vanish on the lineality"
+        rows.append((transformed[q:], c))
+    # the section sends u_bar to inverse @ (0, ..., 0, u_bar)
+    return Polyhedron(tuple(rows), d - q), inverse.submatrix(range(d), range(q, d)), lin
 
 
 def _hilbert_pointed(cone: RationalCone) -> list[Vec]:

@@ -13,9 +13,8 @@ columns whose sign flip would make the grading positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .exactmat import IntMatrix, SingularMatrix, Vec, det_and_scaled_inverse, rational_rank
+from .exactmat import IntMatrix, Vec, _gauss_jordan, rational_rank
 from .grading import ActionSpec, KernelData, associated_vectors
 from .polycone import (
     NOT_CONTAINED,
@@ -84,25 +83,31 @@ def special_matrix(spec: ActionSpec) -> SpecialForm:
     the lexicographically first choice of ``max(0, p - s)`` polynomial
     columns that makes the free-row block over them nonsingular.  Raises
     :class:`BlockFormUnavailable` when no choice works.
+
+    That choice is the greedy one, found by one fraction-free Gauss-Jordan
+    elimination of the free rows ``W`` pivoting on the Laurent block first
+    and then on the polynomial columns in index order.  It leaves ``last *
+    B^-1 @ W`` with ``|last| = d``, so ``l1 = d * B^-1 @ W[:, front]`` is
+    read off its rows.
     """
     associated_vectors(spec)  # faithfulness check
     p, r, s, n = spec.p, spec.r, spec.s, spec.n
-    free = range(p)
     laurent = list(range(r + max(0, s - p), n))
-    for chosen in combinations(range(r), max(0, p - s)):
-        trailing = list(chosen) + laurent
-        try:
-            det, adj = det_and_scaled_inverse(spec.weights.submatrix(free, trailing))
-        except SingularMatrix:
-            continue
-        sign = 1 if det > 0 else -1
-        front = [j for j in range(n) if j not in trailing]
-        l1 = IntMatrix.from_rows([[sign * x for x in row] for row in adj.rows], p)
-        l1 = l1 @ spec.weights.submatrix(free, front)
-        return SpecialForm(l1, abs(det), tuple(front + trailing))
-    raise BlockFormUnavailable(
-        "no nonsingular free-row block over any admissible column choice"
-    )
+    k = len(laurent)
+    order = laurent + list(range(n - k))
+    m = [[w[j] for j in order] for w in spec.weights.rows[:p]]
+    _, last, pivots = _gauss_jordan(m, k + r)
+    if len(pivots) < p or pivots[:k] != list(range(k)):
+        raise BlockFormUnavailable(
+            "no nonsingular free-row block over any admissible column choice"
+        )
+    trailing = [order[j] for j in pivots[k:]] + laurent
+    front = [j for j in range(n) if j not in trailing]
+    sign = 1 if last > 0 else -1
+    # the rows of B^-1 @ W in the trailing order, polynomial pivots then
+    # Laurent; a front column j is column k + j of the reordered rows
+    l1 = [[sign * row[k + j] for j in front] for row in m[k:] + m[:k]]
+    return SpecialForm(IntMatrix.from_rows(l1, n - p), abs(last), tuple(front + trailing))
 
 
 def positivity_set(l1: IntMatrix, steps: int) -> PositivityChain:

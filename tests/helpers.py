@@ -11,8 +11,10 @@ eliminations replaced (inverse, lattice reduction, row echelon form, rank
 and kernel), and :func:`reference_special_matrix` is the full block-form
 builder that ``special_matrix`` replaced, with the positivity decision read
 off it; :func:`reference_parallelepiped_points` is the SNF group product
-that listed the Hilbert basis parallelepipeds before their group orbits;
-all are kept for differential tests.  The
+that listed the Hilbert basis parallelepipeds before their group orbits,
+and :func:`reference_span_hilbert_basis` restricts a cone to its span by
+one integer solve per generator, as ``hilbert_basis`` did before one Smith
+normal form; all are kept for differential tests.  The
 helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -32,6 +34,8 @@ from glaurent.exactmat import (
     _bareiss,
     det_and_scaled_inverse,
     dot,
+    integer_kernel,
+    rational_kernel_basis,
     rational_rank,
     smith_normal_form,
     solve_integer,
@@ -43,6 +47,7 @@ from glaurent.polycone import (
     RationalCone,
     dual_basis_vectors,
     dual_cone,
+    hilbert_basis,
     is_in_halfspace_extend,
     rays_in_halfspace,
 )
@@ -476,6 +481,22 @@ def reference_parallelepiped_points(mat: IntMatrix) -> set[tuple[int, ...]]:
         if any(mu):
             points.add(tuple(dot(row, mu) // size for row in mat.rows))
     return points
+
+
+def reference_span_hilbert_basis(cone: RationalCone) -> tuple[tuple[int, ...], ...]:
+    """``hilbert_basis`` of a cone that is not full-dimensional, with the
+    generators moved into the saturated lattice of their span by one
+    ``solve_integer`` per generator, before one Smith normal form gave every
+    coordinate."""
+    gens, d = cone.generators, cone.dim
+    lattice = integer_kernel(IntMatrix.from_rows(rational_kernel_basis(gens, d), d))
+    coords = []
+    for g in gens:
+        shrunk = solve_integer(lattice, g)
+        assert shrunk is not None
+        coords.append(shrunk)
+    inner = hilbert_basis(RationalCone(tuple(coords), lattice.cols))
+    return tuple(sorted(lattice.apply(h) for h in inner.elements))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ subset enumeration behind the double-description dual;
 box behind the Fourier-Motzkin representative search, ranked by the colex
 key that the search itself replaced by a cascade over the lattice rows;
 :func:`prune_points`, the filter that thinned module generators down to the
-lattice core of the polyhedron; and :func:`hilbert_basis_by_subsets`, the
+lattice core of the polyhedron; :func:`hilbert_basis_by_subsets`, the
 closed parallelepipeds of every nonsingular generator subset, listed by
-Fourier-Motzkin, behind the triangulation Hilbert basis.
+Fourier-Motzkin, behind the triangulation Hilbert basis; and
+:func:`special_matrix_by_scan`, the scan of every choice of block columns
+behind the one Gauss-Jordan elimination that picks them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from glaurent.grading import (
     RepresentativeNotFound,
     _recentre,
     _stacked_matrix,
+    associated_vectors,
     degree,
 )
 from glaurent.polycone import (
@@ -51,6 +54,7 @@ from glaurent.polycone import (
     dual_cone,
     lattice_points,
 )
+from glaurent.positivity import BlockFormUnavailable, SpecialForm
 
 
 def _ranges(spec: ActionSpec, bound: int) -> list[range]:
@@ -324,3 +328,27 @@ def hilbert_basis_by_subsets(cone: RationalCone) -> list[Vec]:
         if not reducible:
             kept.append(v)
     return kept
+
+
+def special_matrix_by_scan(spec: ActionSpec) -> SpecialForm:
+    """The block form of ``positivity.special_matrix``, trying each choice of
+    ``max(0, p - s)`` polynomial columns in lexicographic order until the
+    free-row block over them and the Laurent block is nonsingular."""
+    associated_vectors(spec)  # faithfulness check
+    p, r, s, n = spec.p, spec.r, spec.s, spec.n
+    free = range(p)
+    laurent = list(range(r + max(0, s - p), n))
+    for chosen in combinations(range(r), max(0, p - s)):
+        trailing = list(chosen) + laurent
+        try:
+            det, adj = det_and_scaled_inverse(spec.weights.submatrix(free, trailing))
+        except SingularMatrix:
+            continue
+        sign = 1 if det > 0 else -1
+        front = [j for j in range(n) if j not in trailing]
+        l1 = IntMatrix.from_rows([[sign * x for x in row] for row in adj.rows], p)
+        l1 = l1 @ spec.weights.submatrix(free, front)
+        return SpecialForm(l1, abs(det), tuple(front + trailing))
+    raise BlockFormUnavailable(
+        "no nonsingular free-row block over any admissible column choice"
+    )

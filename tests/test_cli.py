@@ -27,6 +27,10 @@ GOLDEN_CASES = {
     "mod2_kernel.txt": ["kernel", "mod2.json"],
     "mod2_positivity.txt": ["positivity", "mod2.json"],
     "mod2_component_1.txt": ["component", "mod2.json", "--degree", "1"],
+    "unit_line_component_2.txt": ["component", "unit_line.json", "--degree", "2"],
+    "unit_line_component_2.json": ["component", "unit_line.json", "--degree", "2", "--json"],
+    "unit_mixed_component_2.txt": ["component", "unit_mixed.json", "--degree", "2"],
+    "unit_mixed_kernel.txt": ["kernel", "unit_mixed.json"],
 }
 
 

@@ -14,16 +14,21 @@ from glaurent.components import (
     FiniteBasis,
     ModuleGenerators,
     NotInQ,
-    _generating_points,
-    _split_lineality,
     build_polytope,
     component,
     component_dimension,
     s0_generators,
 )
-from glaurent.exactmat import IntMatrix
+from glaurent.exactmat import IntMatrix, reduce_mod_lattice, vadd
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
-from glaurent.polycone import Unbounded, lattice_points, polytope_part
+from glaurent.polycone import (
+    Polyhedron,
+    Unbounded,
+    lattice_points,
+    polytope_part,
+    split_lineality,
+    support_hull_rows,
+)
 
 
 def spec_of(r, s, p, torsion, rows):
@@ -152,21 +157,28 @@ class TestInfiniteComponents:
             assert degree(spec, mono.exponents) == a
             assert all(e >= 0 for e in mono.exponents[: spec.r])
 
-    def test_pruning_keeps_a_generating_set(self):
-        full = component(MIXED, deg(MIXED, [3]), prune=False)
-        pruned = component(MIXED, deg(MIXED, [3]), prune=True)
-        assert set(pruned.kind.sa_gens) <= set(full.kind.sa_gens)
-        assert Monomial((3, 0)) in set(pruned.kind.sa_gens)
+    def test_lattice_core_is_among_the_generators(self):
+        # the minimal generators, the lattice core of the quotient polyhedron
+        # lifted as component lifts its points, are among the printed ones
+        desc = component(MIXED, deg(MIXED, [3]))
+        kd = associated_vectors(MIXED)
+        quotient, section, lin = split_lineality(build_polytope(kd, desc.representative))
+        lift, units = kd.basis @ section, kd.basis @ lin
+        core = {
+            Monomial(reduce_mod_lattice(units, vadd(desc.representative, lift.apply(u))))
+            for u in polytope_part(quotient)[0]
+        }
+        assert core <= set(desc.kind.sa_gens)
+        assert Monomial((3, 0)) in core
 
 
 class TestPruneDifferential:
     @pytest.mark.parametrize("seed", range(4))
     def test_minimal_generators_equal_pruned_region(self, seed):
         # 110 unbounded quotient polyhedra per seed, from 1-2 weight rows
-        # with torsion and Laurent columns: the pruned path returns the
-        # lattice core, which must be exactly what is left of the region
-        # scan after dropping every point above another by a recession
-        # Hilbert basis element
+        # with torsion and Laurent columns: the lattice core must be exactly
+        # what is left of component's region scan after dropping every point
+        # above another by a recession Hilbert basis element
         rng = random.Random(8300 + seed)
         done = 0
         while done < 110:
@@ -174,13 +186,15 @@ class TestPruneDifferential:
             kd = associated_vectors(spec)
             phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
             phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
-            quotient, _, _ = _split_lineality(kd, build_polytope(kd, phi))
+            quotient, _, _ = split_lineality(build_polytope(kd, phi))
             if is_bounded(quotient):
                 continue
-            region = _generating_points(quotient, prune=False)
-            recession_hb = polytope_part(quotient)[1].elements
-            expected = prune_points(region, quotient, recession_hb)
-            assert _generating_points(quotient, prune=True) == expected, spec
+            core, recession_hb = polytope_part(quotient)
+            normals = [row for row, _ in quotient.rows]
+            hull = support_hull_rows(core, recession_hb.elements, normals, quotient.dim)
+            region = lattice_points(Polyhedron(quotient.rows + hull.rows, quotient.dim))
+            expected = prune_points(region, quotient, recession_hb.elements)
+            assert list(core) == expected, spec
             done += 1
 
 
@@ -196,7 +210,7 @@ class TestFinitenessFromEnumeration:
     def check(monkeypatch, spec, phi, seen):
         kd = associated_vectors(spec)
         poly = build_polytope(kd, phi)
-        quotient, _, _ = _split_lineality(kd, poly)
+        quotient, _, _ = split_lineality(poly)
         bounded = []
         for p in (poly, quotient):
             assert all(c <= 0 for _, c in p.rows), (spec, phi)

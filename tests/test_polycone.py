@@ -5,7 +5,13 @@ from itertools import product
 from math import prod
 
 import pytest
-from helpers import cone_contains, determinant, is_bounded, reference_parallelepiped_points
+from helpers import (
+    cone_contains,
+    determinant,
+    is_bounded,
+    reference_parallelepiped_points,
+    reference_span_hilbert_basis,
+)
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
 from glaurent import polycone
@@ -18,7 +24,6 @@ from glaurent.polycone import (
     Unbounded,
     dual_cone,
     hilbert_basis,
-    intersect,
     is_in_halfspace_extend,
     lattice_points,
     polytope_part,
@@ -168,12 +173,6 @@ class TestPolyhedron:
         line = Polyhedron((((2, 0), 1), ((-2, 0), -1)), 2)
         assert not is_bounded(line)
         assert lattice_points(line) == []
-
-    def test_intersect(self):
-        a = Polyhedron((((1,), 0),), 1)
-        b = Polyhedron((((-1,), -2),), 1)
-        both = intersect(a, b)
-        assert sorted(lattice_points(both)) == [(0,), (1,), (2,)]
 
 
 class TestLatticePointsDifferential:
@@ -338,6 +337,31 @@ class TestHilbertBasisDifferential:
             cones, monkeypatch
         )
 
+    def test_span_restriction_matches_solving(self):
+        # 1,500 cones that are not full-dimensional, every other one given
+        # both signs of a vector (659 with lineality): one Smith normal form
+        # gives the coordinates in the span lattice that one integer solve
+        # per generator gave
+        rng = random.Random(2400)
+        cones = lineal = 0
+        while cones < 1500:
+            d = rng.randint(2, 5)
+            base = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
+            inner = random_pointed_cone(rng, len(base), 0, 2, span=2).generators
+            if cones % 2:
+                w = tuple(rng.randint(-2, 2) for _ in base)
+                inner += (w, tuple(-x for x in w))
+            gens = tuple(
+                tuple(sum(c * b[i] for c, b in zip(g, base)) for i in range(d)) for g in inner
+            )
+            cone = RationalCone(gens, d)
+            if not cone.generators or rational_rank(cone.generators) == d:
+                continue
+            cones += 1
+            lineal += bool(rational_kernel_basis(dual_cone(cone).generators, d))
+            assert hilbert_basis(cone).elements == reference_span_hilbert_basis(cone), cone
+        assert lineal >= 600, lineal
+
     @pytest.mark.parametrize(
         "gens, dim, expected",
         [
@@ -469,10 +493,13 @@ class TestPolytopePart:
         assert rec.elements == level0
 
     def test_support_hull_contains_core(self):
+        # polyhedra are intersected by concatenating their rows
+        both = Polyhedron((((1,), 0),) + (((-1,), -2),), 1)
+        assert lattice_points(both) == [(0,), (1,), (2,)]
         p = Polyhedron((((1, 1), 0), ((1, -1), 0)), 2)
         core, rec = polytope_part(p)
         hull = support_hull_rows(core, rec.elements, [row for row, _ in p.rows], 2)
-        region = intersect(p, hull)
+        region = Polyhedron(p.rows + hull.rows, 2)
         assert is_bounded(region)
         pts = lattice_points(region)
         for v in core:

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 from helpers import random_spec, reference_positivity_test, reference_special_matrix
+from oracle import special_matrix_by_scan
 
 from glaurent.exactmat import IntMatrix, dot
 from glaurent.grading import ActionSpec, associated_vectors
@@ -107,6 +108,26 @@ class TestSpecialMatrixDifferential:
             assert got.halfspace_normal == want.halfspace_normal, spec
             assert got.flip_set == want.flip_set, spec
         assert min(kinds[k] for k in ("p=0", "p<=s", "p>s", "unavailable")) >= 20, kinds
+
+    def test_matches_column_scan(self):
+        """3,000 seeded specs (up to 7 variables, up to 4 free rows, entries
+        in [-1, 1] or [-2, 2]): the pivot columns of one row reduction are
+        the first nonsingular choice of the scan over all of them."""
+        rng = random.Random(1100)
+        kinds = Counter()
+        for _ in range(3000):
+            span = rng.choice([1, 2])
+            spec = random_spec(rng, max_n=7, max_p=4, lo=-span, hi=span)
+            try:
+                want = special_matrix_by_scan(spec)
+            except BlockFormUnavailable:
+                with pytest.raises(BlockFormUnavailable):
+                    special_matrix(spec)
+                kinds["unavailable"] += 1
+            else:
+                assert special_matrix(spec) == want, spec
+                kinds["p>s" if spec.p > spec.s else "p<=s"] += 1
+        assert min(kinds[k] for k in ("p<=s", "p>s", "unavailable")) >= 100, kinds
 
 
 class TestVerdicts:
