@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -110,9 +111,22 @@ def cmd_positivity(spec: ActionSpec, out) -> int:
     return 0
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding spaces allowed.
+
+    ``int`` alone would also read ``1_0`` as 10 and non-ASCII digits.
+    """
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_degree(spec: ActionSpec, text: str) -> DegreeVector:
     try:
-        values = [int(x) for x in text.split(",")]
+        values = [_strict_int(x) for x in text.split(",")]
     except ValueError:
         raise _InstanceError(f"invalid degree {text!r}", _PARSE_ERROR)
     try:
@@ -172,7 +186,7 @@ def _component_json(desc) -> dict:
 
 
 def _bound(text: str) -> int:
-    value = int(text)
+    value = _strict_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"search bound must be >= 0, got {value}")
     return value

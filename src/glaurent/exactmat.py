@@ -4,14 +4,15 @@ Everything here is deterministic and exact: integer matrices are immutable
 tuples-of-tuples, all arithmetic is on ``int``, and neither fractions nor
 floating point ever appear.  The centrepiece is :func:`smith_normal_form`,
 which drives integer kernels, integer linear solving and lattice completion.
-One fraction-free elimination gives determinants and adjugates, and one
-fraction-free row reduction gives rational ranks and kernels.
+One fraction-free Gauss-Jordan elimination gives everything else:
+determinants and adjugates, rational ranks and kernels, and the pivot
+columns that pick a basis among given vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -215,14 +216,18 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[int, int, list[int]]:
+def _gauss_jordan(m: list[Sequence[int]], ncols: int) -> tuple[int, int, list[int]]:
     """Fraction-free Gauss-Jordan elimination of the rows ``m``, in place,
     pivoting on the first ``ncols`` columns in order and skipping dependent ones.
 
     Returns ``(sign, last, pivots)``: with ``B`` the input's pivot columns,
-    ``det(B) = sign * last`` and ``m`` ends as ``last * B^-1 @ input``.
-    Every division is exact (Bareiss, Math. Comp. 22, 1968): each entry is,
-    up to sign, a minor of the input.
+    ``det(B) = sign * last`` and ``m`` ends as ``last * B^-1 @ input``: pivot
+    row ``i`` is ``last`` times row ``i`` of the rational reduced echelon
+    form, and the rows after them vanish on the first ``ncols`` columns.  So
+    the pivots give ranks and the first independent columns.  Every division
+    is exact (Bareiss, Math. Comp. 22, 1968): each entry is, up to sign, a
+    minor of the input.  A row with 0 in the pivot column is left alone when
+    the pivot equals the previous one, as its update is then the identity.
     """
     sign = 1
     prev = 1
@@ -238,41 +243,29 @@ def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[int, int, list[int]]:
         row_k = m[k]
         pk = row_k[col]
         for i in range(len(m)):
-            if i != k:
-                f = m[i][col]
+            f = m[i][col]
+            if i != k and (f or pk != prev):
                 m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
         prev = pk
         pivots.append(col)
     return sign, prev, pivots
 
 
-def _bareiss(a: IntMatrix) -> tuple[int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of ``[a | I]``.
+def det_and_scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """Return ``(d, b)`` with ``d = det(a)`` and ``b @ a == d * identity``.
 
-    Returns ``(det(a), adjugate rows)``, or ``(0, [])`` when ``a`` is
-    singular: the right block ends as ``det * inverse`` of the row-permuted
-    matrix.
+    ``b`` is the adjugate of ``a``; its entries are always integers.  It is
+    read off the right block of ``[a | I]`` after :func:`_gauss_jordan`.
+    Raises :class:`SingularMatrix` when ``d == 0``.
     """
     if a.nrows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.nrows
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
-    sign, prev, pivots = _gauss_jordan(m, n)
+    sign, last, pivots = _gauss_jordan(m, n)
     if len(pivots) < n:
-        return 0, []
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def det_and_scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """Return ``(d, b)`` with ``d = det(a)`` and ``b @ a == d * identity``.
-
-    ``b`` is the adjugate of ``a``; its entries are always integers.  Raises
-    :class:`SingularMatrix` when ``d == 0``.
-    """
-    d, adj = _bareiss(a)
-    if d == 0:
         raise SingularMatrix("matrix has determinant 0")
-    return d, IntMatrix.from_rows(adj, a.nrows)
+    return sign * last, IntMatrix.from_rows([[sign * x for x in row[n:]] for row in m], n)
 
 
 def unimodular_completion(lattice: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -319,44 +312,13 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination over the rationals
-
-
-def _rref(rows: Iterable[Sequence[int]], dim: int) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form up to row scaling, in integers.
-
-    Returns ``(work, pivots)``: row ``work[i]`` is nonzero in column
-    ``pivots[i]`` and zero in every other pivot column, and is a nonzero
-    integer multiple of row ``i`` of the rational reduced echelon form; zero
-    input rows are dropped.  Each column is cleared from every other row by
-    ``(pv/g) row_i - (f/g) row_k`` with ``g = gcd(pv, f)``, and every
-    updated row is divided by its content.  Scaling never changes which
-    entries vanish, so the pivots and row swaps are the rational ones.
-    """
-    work = [tuple(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    for col in range(dim):
-        rk = len(pivots)
-        piv = next((i for i in range(rk, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        row_k = work[rk]
-        pv = row_k[col]
-        for i, row in enumerate(work):
-            f = row[col]
-            if f and i != rk:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                work[i] = primitive([a * x - b * y for x, y in zip(row, row_k)])
-        pivots.append(col)
-    return work, pivots
+# ranks and kernels over the rationals
 
 
 def rational_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals."""
-    rows = list(rows)
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+    m = list(rows)
+    return len(_gauss_jordan(m, len(m[0]) if m else 0)[2])
 
 
 def rational_kernel_basis(rows: Iterable[Sequence[int]], dim: int) -> list[Vec]:
@@ -364,19 +326,20 @@ def rational_kernel_basis(rows: Iterable[Sequence[int]], dim: int) -> list[Vec]:
 
     The output is deterministic: reduced row echelon form with free variables
     set to 1 in increasing column order, each vector scaled to be integral and
-    primitive.  The scaling is the positive ``lcm`` of the pivot entries, so
-    every coordinate is an exact integer quotient.
+    primitive.  :func:`_gauss_jordan` leaves ``last`` times the reduced rows,
+    so the free entry ``|last|`` makes every coordinate an integer.
     """
-    work, pivots = _rref(rows, dim)
-    scale = lcm(*(row[p] for row, p in zip(work, pivots)))
+    m = list(rows)
+    _, last, pivots = _gauss_jordan(m, dim)
+    sign = 1 if last > 0 else -1
     basis = []
     for free in range(dim):
         if free in pivots:
             continue
         vec = [0] * dim
-        vec[free] = scale
-        for row, p in zip(work, pivots):
-            vec[p] = -row[free] * scale // row[p]
+        vec[free] = abs(last)
+        for row, p in zip(m, pivots):
+            vec[p] = -sign * row[free]
         basis.append(primitive(vec))
     return basis
 

@@ -14,11 +14,13 @@ from math import gcd
 from operator import le, mul
 
 from .exactmat import (
+    DimensionMismatch,
     IntMatrix,
     Vec,
-    _rref,
+    _gauss_jordan,
     det_and_scaled_inverse,
     dot,
+    int_vector,
     integer_kernel,
     primitive,
     rational_kernel_basis,
@@ -94,10 +96,26 @@ class HilbertBasis:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Integer inequality rows ``(a, c)`` meaning ``<a, u> >= c``."""
+    """Integer inequality rows ``(a, c)`` meaning ``<a, u> >= c``.
+
+    Every normal ``a`` must have length ``dim`` (else
+    :class:`DimensionMismatch`) and every entry and right-hand side must be
+    an ``int`` (else :class:`TypeError`).
+    """
 
     rows: tuple[tuple[Vec, int], ...]
     dim: int
+
+    def __post_init__(self) -> None:
+        rows = []
+        for a, c in self.rows:
+            row = int_vector((*a, c))
+            if len(row) != self.dim + 1:
+                raise DimensionMismatch(
+                    f"normal of length {len(row) - 1} in dimension {self.dim}"
+                )
+            rows.append((row[:-1], c))
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 @lru_cache(maxsize=1024)
@@ -125,7 +143,7 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     k = d - len(lineality)
     rays: list[Vec] = []
     if k >= 1:
-        _, pivots = _rref([tuple(g[i] for g in gens) for i in range(d)], len(gens))
+        _, _, pivots = _gauss_jordan(list(zip(*gens)), len(gens))
         basis = [gens[j] for j in pivots]
         rows = [tuple(dot(g, b) for b in basis) for g in gens]
         det, adj = det_and_scaled_inverse(IntMatrix.from_rows([rows[j] for j in pivots], k))
@@ -287,14 +305,14 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     if not gens:
         return HilbertBasis(())
     d = cone.dim
-    k = rational_rank(gens)
+    span = rational_kernel_basis(gens, d)
+    k = d - len(span)
     if k < d:
         # restrict to the saturated lattice of the linear span, where the
         # cone is full-dimensional; the monoid is carried over isomorphically.
         # With u @ lattice @ v = [I; 0] (saturated), g = lattice @ x gives
         # x = v @ (u @ g)[:k]
-        span_constraints = rational_kernel_basis(gens, d)
-        lattice = integer_kernel(IntMatrix.from_rows(span_constraints, d))
+        lattice = integer_kernel(IntMatrix.from_rows(span, d))
         u, _, v = smith_normal_form(lattice)
         coords = tuple(v.apply(u.apply(g)[:k]) for g in gens)
         inner = hilbert_basis(RationalCone(coords, k))
@@ -478,16 +496,13 @@ def rays_in_halfspace(vectors, dim: int) -> ContainedWith | _NotContained:
         return NOT_CONTAINED
     cleaned = [primitive(tuple(v)) for v in vectors]
     cleaned = [v for v in cleaned if any(v)]
-    if rational_rank(cleaned) < dim:
-        normal = rational_kernel_basis(cleaned, dim)[0]
-        return ContainedWith(normal)
-    base: list[Vec] = []
-    rest: list[Vec] = []
-    for v in cleaned:
-        if len(base) < dim and rational_rank(base + [v]) > len(base):
-            base.append(v)
-        else:
-            rest.append(v)
+    # the pivot columns of the vectors as columns are the greedy basis
+    _, _, pivots = _gauss_jordan(list(zip(*cleaned)), len(cleaned))
+    if len(pivots) < dim:
+        return ContainedWith(rational_kernel_basis(cleaned, dim)[0])
+    base = [cleaned[j] for j in pivots]
+    chosen = set(pivots)
+    rest = [v for j, v in enumerate(cleaned) if j not in chosen]
     seed = dual_basis_vectors(base, dim)[0]
     return is_in_halfspace_extend(rest, RationalCone(tuple(base), dim), seed)
 

@@ -14,8 +14,10 @@ off it; :func:`reference_parallelepiped_points` is the SNF group product
 that listed the Hilbert basis parallelepipeds before their group orbits,
 and :func:`reference_span_hilbert_basis` restricts a cone to its span by
 one integer solve per generator, as ``hilbert_basis`` did before one Smith
-normal form; all are kept for differential tests.  The
-helpers at the end have no caller left in the library: the vector helpers,
+normal form; :func:`reference_rays_in_halfspace` grows the greedy basis of
+``rays_in_halfspace`` by one rank test per vector, as it did before one
+elimination's pivot columns picked it; all are kept for differential tests.
+The helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
 component pipeline replaced by reading ``Unbounded`` off ``lattice_points``.
@@ -31,10 +33,11 @@ from typing import Sequence
 
 from glaurent.exactmat import (
     IntMatrix,
-    _bareiss,
+    _gauss_jordan,
     det_and_scaled_inverse,
     dot,
     integer_kernel,
+    primitive,
     rational_kernel_basis,
     rational_rank,
     smith_normal_form,
@@ -43,6 +46,7 @@ from glaurent.exactmat import (
 from glaurent.grading import ActionSpec, associated_vectors
 from glaurent.polycone import (
     NOT_CONTAINED,
+    ContainedWith,
     Polyhedron,
     RationalCone,
     dual_basis_vectors,
@@ -499,6 +503,26 @@ def reference_span_hilbert_basis(cone: RationalCone) -> tuple[tuple[int, ...], .
     return tuple(sorted(lattice.apply(h) for h in inner.elements))
 
 
+def reference_rays_in_halfspace(vectors, dim: int):
+    """``rays_in_halfspace`` with the greedy basis grown by one rank test per
+    vector, as before one elimination's pivot columns picked it."""
+    if dim == 0:
+        return NOT_CONTAINED
+    cleaned = [primitive(tuple(v)) for v in vectors]
+    cleaned = [v for v in cleaned if any(v)]
+    if rational_rank(cleaned) < dim:
+        return ContainedWith(rational_kernel_basis(cleaned, dim)[0])
+    base: list[tuple[int, ...]] = []
+    rest: list[tuple[int, ...]] = []
+    for v in cleaned:
+        if len(base) < dim and rational_rank(base + [v]) > len(base):
+            base.append(v)
+        else:
+            rest.append(v)
+    seed = dual_basis_vectors(base, dim)[0]
+    return is_in_halfspace_extend(rest, RationalCone(tuple(base), dim), seed)
+
+
 # ---------------------------------------------------------------------------
 # helpers with no caller left in the library
 
@@ -517,7 +541,9 @@ def identity(n: int) -> IntMatrix:
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    return _bareiss(a)[0]
+    assert a.nrows == a.cols
+    sign, last, pivots = _gauss_jordan([list(row) for row in a.rows], a.cols)
+    return sign * last if len(pivots) == a.cols else 0
 
 
 def cone_contains(cone: RationalCone, v) -> bool:

@@ -104,6 +104,31 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("degree", ["1_0", "\u0662", "1.0", "+", "", " ", "1,", "0x1"])
+    def test_degree_entries_are_ascii_integers(self, degree):
+        code, out, err = run_cli(
+            ["component", str(DATA / "standard.json"), "--degree", degree]
+        )
+        assert (code, out) == (2, "")
+        assert "invalid degree" in err
+
+    @pytest.mark.parametrize("instance, degree, first",
+                             [("standard.json", " +2 ", "degree: (2)"),
+                              ("identity.json", "1, 2", "degree: (1, 2)"),
+                              ("identity.json", "+1,-1", "degree: (1, -1)")])
+    def test_degree_entries_allow_sign_and_spaces(self, instance, degree, first):
+        code, out, _ = run_cli(["component", str(DATA / instance), "--degree", degree])
+        assert out.splitlines()[0] == first
+        assert code in (0, 4)
+
+    @pytest.mark.parametrize("bound", ["1_0", "\u0662", "4.0", ""])
+    def test_bound_is_an_ascii_integer(self, bound):
+        code, out, err = run_cli(
+            ["component", str(DATA / "standard.json"), "--degree", "2", "--bound", bound]
+        )
+        assert (code, out) == (2, "")
+        assert "invalid _bound value" in err
+
     def test_wrong_degree_length(self):
         code, _, _ = run_cli(
             ["component", str(DATA / "standard.json"), "--degree", "1,2"]

@@ -26,7 +26,7 @@ from glaurent.exactmat import (
     DimensionMismatch,
     IntMatrix,
     SingularMatrix,
-    _rref,
+    _gauss_jordan,
     det_and_scaled_inverse,
     dot,
     integer_kernel,
@@ -335,18 +335,20 @@ def random_rows(rng):
 class TestFractionFreeElimination:
     def test_matches_fraction_reference(self):
         rng = random.Random(2024)
-        seen = {"zero row": 0, "repeated row": 0, "negative pivot": 0,
+        seen = {"zero row": 0, "repeated row": 0, "negative last": 0,
                 "full rank": 0, "deficient": 0, "no rows": 0, "no columns": 0}
         for _ in range(1500):
             rows, n = random_rows(rng)
-            work, pivots = _rref(rows, n)
+            work = [list(r) for r in rows]
+            _, last, pivots = _gauss_jordan(work, n)
             ref_work, ref_pivots = fraction_rref(rows, n)
             assert pivots == ref_pivots
-            assert len(work) == len(ref_work)
+            assert len(work) == len(rows)
             assert all(type(x) is int for row in work for x in row)
-            # each pivot row is a nonzero multiple of the rational one
-            for row, ref, p in zip(work, ref_work, pivots):
-                assert row[p] != 0 and all(x == row[p] * y for x, y in zip(row, ref))
+            # pivot row i is last times rational row i; the other rows vanish
+            for row, ref in zip(work[: len(pivots)], ref_work):
+                assert row == [last * y for y in ref]
+            assert all(not any(row) for row in work[len(pivots):])
             rank = rational_rank(rows)
             assert rank == len(pivots) == fraction_rank(rows)
             basis = rational_kernel_basis(rows, n)
@@ -356,7 +358,7 @@ class TestFractionFreeElimination:
             seen["zero row"] += any(not any(r) for r in rows) and n > 0
             seen["repeated row"] += len({tuple(r) for r in rows if any(r)}) < sum(
                 1 for r in rows if any(r))
-            seen["negative pivot"] += any(row[p] < 0 for row, p in zip(work, pivots))
+            seen["negative last"] += last < 0
             seen["full rank"] += 0 < rank == min(len(rows), n)
             seen["deficient"] += rank < min(len(rows), n)
             seen["no rows"] += not rows

@@ -1,6 +1,7 @@
 """Unit tests for polyhedra, cones, Hilbert bases, and half-space tests."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -10,6 +11,7 @@ from helpers import (
     determinant,
     is_bounded,
     reference_parallelepiped_points,
+    reference_rays_in_halfspace,
     reference_span_hilbert_basis,
 )
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
@@ -31,8 +33,10 @@ from glaurent.polycone import (
     support_hull_rows,
 )
 from glaurent.exactmat import (
+    DimensionMismatch,
     IntMatrix,
     dot,
+    primitive,
     rational_kernel_basis,
     rational_rank,
     smith_normal_form,
@@ -141,6 +145,22 @@ class TestDualConeDifferential:
 
 
 class TestPolyhedron:
+    @pytest.mark.parametrize("normal", [(1, 0, 5), (1,), ()])
+    def test_normal_of_wrong_length_rejected(self, normal):
+        rows = ((normal, 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1))
+        with pytest.raises(DimensionMismatch, match="normal of length"):
+            Polyhedron(rows, 2)
+
+    @pytest.mark.parametrize("row", [((1.5, 0), 0), ((1, "0"), 0), ((True, 0), 0),
+                                     ((1, 0), 0.0), ((1, 0), Fraction(1, 2))])
+    def test_non_integer_entry_rejected(self, row):
+        with pytest.raises(TypeError, match="expected an integer"):
+            Polyhedron((row, ((-1, 0), -1)), 2)
+
+    def test_rows_become_tuples(self):
+        poly = Polyhedron([([1, 0], 0), ([0, 1], -2)], 2)
+        assert poly.rows == (((1, 0), 0), ((0, 1), -2))
+
     def test_segment_points(self):
         seg = Polyhedron((((1,), 0), ((-1,), -3)), 1)
         assert sorted(lattice_points(seg)) == [(0,), (1,), (2,), (3,)]
@@ -523,6 +543,37 @@ class TestHalfspace:
     def test_one_dim(self):
         assert rays_in_halfspace([(1,), (-1,)], 1) is NOT_CONTAINED
         assert isinstance(rays_in_halfspace([(1,)], 1), ContainedWith)
+
+    def test_matches_rank_test_per_vector(self):
+        # the pivot columns of one elimination against the old greedy loop
+        rng = random.Random(17)
+        seen = {"zero": 0, "duplicate": 0, "dependent": 0, "deficient": 0,
+                "contained": 0, "not contained": 0}
+        for _ in range(1500):
+            dim = rng.randint(1, 4)
+            vectors: list[tuple[int, ...]] = []
+            for _ in range(rng.randint(0, 8)):
+                kind = rng.random()
+                if kind < 0.1:
+                    v = (0,) * dim
+                elif vectors and kind < 0.25:
+                    v = tuple(rng.choice([1, 2, 3]) * x for x in rng.choice(vectors))
+                elif len(vectors) >= 2 and kind < 0.4:
+                    a, b = rng.sample(vectors, 2)
+                    v = tuple(x + rng.choice([1, -1, 2]) * y for x, y in zip(a, b))
+                else:
+                    v = tuple(rng.randint(-3, 3) for _ in range(dim))
+                vectors.append(v)
+            result = rays_in_halfspace(vectors, dim)
+            assert result == reference_rays_in_halfspace(vectors, dim), (vectors, dim)
+            nonzero = [v for v in vectors if any(v)]
+            rank = rational_rank(nonzero)
+            seen["zero"] += len(nonzero) < len(vectors)
+            seen["duplicate"] += len(set(map(primitive, nonzero))) < len(nonzero)
+            seen["dependent"] += dim <= rank < len(nonzero)
+            seen["deficient"] += rank < dim
+            seen["contained" if isinstance(result, ContainedWith) else "not contained"] += 1
+        assert min(seen.values()) >= 200, seen
 
     def test_extend_accepts_compatible(self):
         seed = RationalCone(((1, 0), (1, 1)), 2)
