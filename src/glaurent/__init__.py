@@ -32,8 +32,6 @@ from .grading import (
     find_representative,
 )
 from .polycone import (
-    NOT_CONTAINED,
-    ContainedWith,
     EmptyPolyhedron,
     HilbertBasis,
     Polyhedron,
@@ -58,7 +56,6 @@ __all__ = [
     "ActionSpec",
     "BlockFormUnavailable",
     "ComponentDescription",
-    "ContainedWith",
     "DegreeVector",
     "DimensionMismatch",
     "EmptyPolyhedron",
@@ -70,7 +67,6 @@ __all__ = [
     "KernelData",
     "ModuleGenerators",
     "Monomial",
-    "NOT_CONTAINED",
     "NotFaithful",
     "NotInQ",
     "Polyhedron",

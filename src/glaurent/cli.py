@@ -212,9 +212,21 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _bind_degree(argv: list[str]) -> list[str]:
+    """``--degree V`` as ``--degree=V``: argparse reads a spaced value such
+    as ``-1,2`` as an option and stops with "expected one argument"."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--degree" else None
+        out.append(token if value is None else f"--degree={value}")
+    return out
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    argv = _bind_degree(sys.argv[1:] if argv is None else list(argv))
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = _PARSER.parse_args(argv)

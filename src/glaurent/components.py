@@ -94,10 +94,7 @@ def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
     """
     kd = associated_vectors(spec)
     cone = RationalCone(tuple(kd.rays), kd.l)
-    dual = dual_cone(cone)
-    if not dual.generators:
-        return ()
-    basis = hilbert_basis(dual)
+    basis = hilbert_basis(dual_cone(cone))
     return tuple(
         map(Monomial, sorted((kd.basis.apply(h) for h in basis.elements), reverse=True))
     )

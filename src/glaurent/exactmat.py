@@ -101,9 +101,6 @@ class IntMatrix:
             other.cols,
         )
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.rows) + "]"
-
 
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]

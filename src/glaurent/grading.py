@@ -178,10 +178,6 @@ class KernelData:
     def l(self) -> int:
         return self.basis.cols
 
-    @property
-    def n(self) -> int:
-        return self.basis.nrows
-
 
 def _stacked_matrix(spec: ActionSpec) -> IntMatrix:
     # [weights | -T] where T has the torsion orders on the rows that are

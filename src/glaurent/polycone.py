@@ -39,27 +39,6 @@ class Unbounded(ValueError):
 
 
 @dataclass(frozen=True)
-class ContainedWith:
-    """Witness that a set of vectors lies in the half-space ``<normal, .> >= 0``."""
-
-    normal: Vec
-
-
-class _NotContained:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NOT_CONTAINED"
-
-
-#: Singleton result: the vectors are not contained in any half-space.
-NOT_CONTAINED = _NotContained()
-
-#: What a half-space query returns.
-HalfspaceOutcome = ContainedWith | _NotContained
-
-
-@dataclass(frozen=True)
 class RationalCone:
     """A rational polyhedral cone, stored by integer generators.
 
@@ -146,15 +125,11 @@ def dual_cone(cone: RationalCone) -> RationalCone:
         _, _, pivots = _gauss_jordan(list(zip(*gens)), len(gens))
         basis = [gens[j] for j in pivots]
         rows = [tuple(dot(g, b) for b in basis) for g in gens]
-        det, adj = det_and_scaled_inverse(IntMatrix.from_rows([rows[j] for j in pivots], k))
-        sign = 1 if det > 0 else -1
         # ray i of the simplicial cone is tight on every basis row but its own;
         # tight sets are bitmasks over generator indices
         tight_all = sum(1 << j for j in pivots)
-        current = [
-            (primitive(tuple(sign * x for x in adj.col(i))), tight_all & ~(1 << j))
-            for i, j in enumerate(pivots)
-        ]
+        seeds = dual_basis_vectors([rows[j] for j in pivots], k)
+        current = [(y, tight_all & ~(1 << j)) for y, j in zip(seeds, pivots)]
         chosen = set(pivots)
         for j, a in enumerate(rows):
             if j in chosen or not current:
@@ -453,15 +428,13 @@ def _parallelepiped_points(mat: IntMatrix) -> list[Vec]:
 # Half-space containment
 
 
-def is_in_halfspace_extend(
-    vectors, cone: RationalCone, normal: Vec
-) -> ContainedWith | _NotContained:
+def is_in_halfspace_extend(vectors, cone: RationalCone, normal: Vec) -> Vec | None:
     """Grow a half-space certificate over ``vectors``, or refute one.
 
     Requires ``cone`` to be full-dimensional and contained in the half-space
     of ``normal``.  Processes the vectors in order; each accepted vector is
-    added to the cone.  Returns a witness normal for the final cone, or
-    :data:`NOT_CONTAINED` as soon as no containing half-space can exist.
+    added to the cone.  Returns a normal ``u`` with ``<u, .> >= 0`` on the
+    final cone, or ``None`` as soon as no containing half-space can exist.
     """
     if rational_rank(cone.generators) < cone.dim:
         raise ValueError("seed cone must be full-dimensional")
@@ -479,27 +452,27 @@ def is_in_halfspace_extend(
         neg = tuple(-x for x in w)
         witness = dual_cone(RationalCone(tuple(current + [w, neg]), cone.dim))
         if not witness.generators:
-            return NOT_CONTAINED
+            return None
         u = witness.generators[0]
         current.append(w)
-    return ContainedWith(u)
+    return u
 
 
-def rays_in_halfspace(vectors, dim: int) -> ContainedWith | _NotContained:
+def rays_in_halfspace(vectors, dim: int) -> Vec | None:
     """Decide whether the vectors lie in a common closed half-space.
 
-    Returns :class:`ContainedWith` carrying a nonzero integer normal, or
-    :data:`NOT_CONTAINED`.  ``dim`` is the ambient dimension (needed because
-    the list may be empty).
+    Returns a nonzero integer normal pairing nonnegatively with every
+    vector, or ``None`` when there is none.  ``dim`` is the ambient
+    dimension (needed because the list may be empty).
     """
     if dim == 0:
-        return NOT_CONTAINED
+        return None
     cleaned = [primitive(tuple(v)) for v in vectors]
     cleaned = [v for v in cleaned if any(v)]
     # the pivot columns of the vectors as columns are the greedy basis
     _, _, pivots = _gauss_jordan(list(zip(*cleaned)), len(cleaned))
     if len(pivots) < dim:
-        return ContainedWith(rational_kernel_basis(cleaned, dim)[0])
+        return rational_kernel_basis(cleaned, dim)[0]
     base = [cleaned[j] for j in pivots]
     chosen = set(pivots)
     rest = [v for j, v in enumerate(cleaned) if j not in chosen]

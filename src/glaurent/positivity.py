@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmat import IntMatrix, Vec, _gauss_jordan, rational_rank
-from .grading import ActionSpec, KernelData, associated_vectors
+from .grading import ActionSpec, associated_vectors
 from .polycone import (
-    NOT_CONTAINED,
-    ContainedWith,
-    HalfspaceOutcome,
     RationalCone,
     dual_basis_vectors,
     is_in_halfspace_extend,
@@ -45,20 +42,6 @@ class SpecialForm:
     l1: IntMatrix
     d: int
     columns: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PositivityChain:
-    """The nested sign sets read off the rows of the ``l1`` block.
-
-    ``sets[k]`` collects the front positions whose first nonzero pairing
-    with a later ray was positive, accumulated through step ``k``.
-    ``uncovered`` holds front positions whose pairings were zero at every
-    step — each one certifies a half-space.
-    """
-
-    sets: tuple[frozenset[int], ...]
-    uncovered: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -110,63 +93,27 @@ def special_matrix(spec: ActionSpec) -> SpecialForm:
     return SpecialForm(IntMatrix.from_rows(l1, n - p), abs(last), tuple(front + trailing))
 
 
-def positivity_set(l1: IntMatrix, steps: int) -> PositivityChain:
-    """Accumulate the sign chain over the first ``steps`` rows of ``l1``.
-
-    At each step a front position enters the chain when its pairing with
-    the step's ray — the negated matrix entry — is positive and all earlier
-    pairings were zero.  Stops as soon as every front position has shown a
-    nonzero pairing; positions that never do are reported in ``uncovered``.
-    """
-    l = l1.cols
-    sets: list[frozenset[int]] = []
-    covered: set[int] = set()
-    untouched = set(range(l))
-    current: frozenset[int] = frozenset()
-    everything = set(range(l))
-    for k in range(steps):
-        row = l1.rows[k]
-        plus = {i for i in range(l) if row[i] < 0}
-        minus = {i for i in range(l) if row[i] > 0}
-        if k == 0:
-            current = frozenset(plus)
-        else:
-            current = current | (untouched & plus)
-        sets.append(current)
-        covered |= plus | minus
-        untouched -= plus | minus
-        if covered == everything:
-            return PositivityChain(tuple(sets), frozenset())
-    return PositivityChain(tuple(sets), frozenset(everything - covered))
-
-
-def halfspace_from_chain(chain: PositivityChain, rays) -> HalfspaceOutcome:
-    """Decide half-space containment of the rays using the sign chain.
-
-    ``rays`` must be the polynomial rays in permuted order — the ``l``
-    basis rays first (``l`` is the length of a ray), then one ray per chain
-    step, then any remaining rays.  Requires a chain that reached full
-    coverage.
-    """
-    if not chain.sets or not chain.sets[-1]:
-        return NOT_CONTAINED
-    rays = [tuple(v) for v in rays]
-    l = len(rays[0])
-    first = next(k for k, s in enumerate(chain.sets) if s)
-    duals = dual_basis_vectors(rays, l)
-    normal = duals[min(chain.sets[first])]
-    seed = RationalCone(tuple(rays[: l + first + 1]), l)
-    return is_in_halfspace_extend(rays[l + first + 1 :], seed, normal)
-
-
 def positivity_test(spec: ActionSpec) -> PositivityVerdict:
     """Decide positivity of the grading, with a certificate either way.
 
     Pipeline: necessary conditions (more free parameters than Laurent
     variables; independent Laurent weight columns), block form, the sign
     chain, and finally the half-space search seeded by the chain.  When no
-    block form exists the decision falls back to a direct half-space search
-    over the rays.
+    block form exists the decision is a direct half-space search over the
+    rays.
+
+    The chain is read off the first ``p - s`` rows of ``l1``, one step per
+    row.  With the rays in the order of ``columns``, the first ``l`` form a
+    basis and step ``k`` pairs ray ``l + k`` with the dual basis; the pairing
+    with front position ``i`` is the negated entry ``l1[k][i]``.  A position
+    joins the chain when that pairing is positive and all earlier ones were
+    zero.  The pass stops once every position has shown a nonzero pairing.
+    A position that never does has a dual basis vector as half-space normal.
+    Otherwise an empty chain means positive; a nonempty one seeds the
+    half-space search with the dual vector of its least position at the step
+    where it first became nonempty, over the basis and the rays up to that
+    step, and the search runs through the remaining polynomial rays.  A
+    normal found there comes with the chain as flip set.
     """
     kd = associated_vectors(spec)
     if spec.p <= spec.s:
@@ -180,30 +127,33 @@ def positivity_test(spec: ActionSpec) -> PositivityVerdict:
     try:
         form = special_matrix(spec)
     except BlockFormUnavailable:
-        return _direct_test(kd)
-    rays_perm = [kd.basis.rows[j] for j in form.columns]
+        normal = rays_in_halfspace(kd.rays, kd.l)
+        return PositivityVerdict(normal is None, halfspace_normal=normal)
+    rays = [kd.basis.rows[j] for j in form.columns]
     l = spec.n - spec.p
-    chain = positivity_set(form.l1, steps=spec.p - spec.s)
-    if chain.uncovered:
-        duals = dual_basis_vectors(rays_perm, l)
-        normal = duals[min(chain.uncovered)]
-        return PositivityVerdict(False, halfspace_normal=normal)
-    outcome = halfspace_from_chain(chain, rays_perm[: spec.r])
-    if outcome is NOT_CONTAINED:
+    untouched = set(range(l))
+    chain: set[int] = set()
+    first = (0, 0)  # the step and least position where the chain began
+    for k, row in enumerate(form.l1.rows[: spec.p - spec.s]):
+        if not untouched:
+            break
+        plus = {i for i in untouched if row[i] < 0}
+        if plus and not chain:
+            first = (k, min(plus))
+        chain |= plus
+        untouched -= {i for i in untouched if row[i]}
+    if not untouched and not chain:
         return PositivityVerdict(True)
-    assert isinstance(outcome, ContainedWith)
-    flips = tuple(sorted(form.columns[i] for i in chain.sets[-1]))
-    return PositivityVerdict(
-        False, halfspace_normal=outcome.normal, flip_set=flips
-    )
-
-
-def _direct_test(kd: KernelData) -> PositivityVerdict:
-    outcome = rays_in_halfspace(kd.rays, kd.l)
-    if outcome is NOT_CONTAINED:
+    duals = dual_basis_vectors(rays, l)
+    if untouched:
+        return PositivityVerdict(False, halfspace_normal=duals[min(untouched)])
+    step, position = first
+    seed = RationalCone(tuple(rays[: l + step + 1]), l)
+    normal = is_in_halfspace_extend(rays[l + step + 1 : spec.r], seed, duals[position])
+    if normal is None:
         return PositivityVerdict(True)
-    assert isinstance(outcome, ContainedWith)
-    return PositivityVerdict(False, halfspace_normal=outcome.normal)
+    flips = tuple(sorted(form.columns[i] for i in chain))
+    return PositivityVerdict(False, halfspace_normal=normal, flip_set=flips)
 
 
 def flip_matrix(spec: ActionSpec, indices) -> ActionSpec:

@@ -45,8 +45,6 @@ from glaurent.exactmat import (
 )
 from glaurent.grading import ActionSpec, associated_vectors
 from glaurent.polycone import (
-    NOT_CONTAINED,
-    ContainedWith,
     Polyhedron,
     RationalCone,
     dual_basis_vectors,
@@ -507,11 +505,11 @@ def reference_rays_in_halfspace(vectors, dim: int):
     """``rays_in_halfspace`` with the greedy basis grown by one rank test per
     vector, as before one elimination's pivot columns picked it."""
     if dim == 0:
-        return NOT_CONTAINED
+        return None
     cleaned = [primitive(tuple(v)) for v in vectors]
     cleaned = [v for v in cleaned if any(v)]
     if rational_rank(cleaned) < dim:
-        return ContainedWith(rational_kernel_basis(cleaned, dim)[0])
+        return rational_kernel_basis(cleaned, dim)[0]
     base: list[tuple[int, ...]] = []
     rest: list[tuple[int, ...]] = []
     for v in cleaned:
@@ -571,9 +569,9 @@ def reference_positivity_test(spec: ActionSpec) -> PositivityVerdict:
         form = reference_special_matrix(spec)
     except BlockFormUnavailable:
         outcome = rays_in_halfspace(kd.rays, kd.l)
-        if outcome is NOT_CONTAINED:
+        if outcome is None:
             return PositivityVerdict(True)
-        return PositivityVerdict(False, halfspace_normal=outcome.normal)
+        return PositivityVerdict(False, halfspace_normal=outcome)
     perm = form.column_map
     rays = [kd.basis.rows[perm[j]] for j in range(spec.n)]
     l = spec.n - spec.p
@@ -600,7 +598,7 @@ def reference_positivity_test(spec: ActionSpec) -> PositivityVerdict:
     normal = dual_basis_vectors(rays, l)[min(sets[first])]
     seed = RationalCone(tuple(rays[: l + first + 1]), l)
     outcome = is_in_halfspace_extend(rays[l + first + 1 : spec.r], seed, normal)
-    if outcome is NOT_CONTAINED:
+    if outcome is None:
         return PositivityVerdict(True)
     flips = tuple(sorted(perm[i] for i in sets[-1]))
-    return PositivityVerdict(False, halfspace_normal=outcome.normal, flip_set=flips)
+    return PositivityVerdict(False, halfspace_normal=outcome, flip_set=flips)

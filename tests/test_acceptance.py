@@ -56,7 +56,6 @@ from glaurent.grading import (
     find_representative,
 )
 from glaurent.polycone import (
-    NOT_CONTAINED,
     RationalCone,
     dual_cone,
     hilbert_basis,
@@ -143,14 +142,14 @@ def test_positivity_routes_and_oracle_agree():
         spec = random_spec(rng, max_n=6, max_p=1, max_t=0, lo=-5, hi=5)
         kd = associated_vectors(spec)
         verdict = positivity_test(spec)
-        direct = rays_in_halfspace(kd.rays, kd.l) is NOT_CONTAINED
+        direct = rays_in_halfspace(kd.rays, kd.l) is None
         oracle = not has_nonconstant_invariant(spec, 6)
         assert verdict.positive == direct == oracle, (spec.r, spec.weights.rows)
     for _ in range(200):
         spec = random_spec(rng, max_n=6, max_p=2, max_t=1)
         kd = associated_vectors(spec)
         verdict = positivity_test(spec)
-        direct = rays_in_halfspace(kd.rays, kd.l) is NOT_CONTAINED
+        direct = rays_in_halfspace(kd.rays, kd.l) is None
         assert verdict.positive == direct, (spec.r, spec.torsion, spec.weights.rows)
 
 

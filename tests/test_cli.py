@@ -121,6 +121,18 @@ class TestExitCodes:
         assert out.splitlines()[0] == first
         assert code in (0, 4)
 
+    @pytest.mark.parametrize("argv", [["--degree", "-1,2"], ["--degree=-1,2"],
+                                      ["--bound", "3", "--degree", "-1,2"]])
+    def test_negative_degree_spaced_or_joined(self, argv):
+        code, out, _ = run_cli(["component", str(DATA / "identity.json"), *argv])
+        assert out.splitlines()[0] == "degree: (-1, 2)"
+        assert code == 4
+
+    def test_degree_flag_last_is_usage_error(self):
+        code, out, err = run_cli(["component", str(DATA / "identity.json"), "--degree"])
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+
     @pytest.mark.parametrize("bound", ["1_0", "\u0662", "4.0", ""])
     def test_bound_is_an_ascii_integer(self, bound):
         code, out, err = run_cli(

@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 from helpers import (
     determinant,
     fraction_inverse,
@@ -209,6 +210,20 @@ class TestSmithNormalForm:
     def test_rank_deficient(self):
         *_, diag = snf_checked(IntMatrix.from_rows([(2, 4), (1, 2)], 2))
         assert diag == [1, 0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=5
+            ).map(lambda rows: (rows, n))
+        )
+    )
+    def test_invariant_factors_match_sympy(self, case):
+        rows, n = case
+        *_, diag = snf_checked(IntMatrix.from_rows(rows, n))
+        factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert [x for x in diag if x] == [int(f) for f in factors if f]
 
 
 class TestKernelAndSolve:

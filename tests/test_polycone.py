@@ -18,8 +18,6 @@ from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
 
 from glaurent import polycone
 from glaurent.polycone import (
-    NOT_CONTAINED,
-    ContainedWith,
     EmptyPolyhedron,
     Polyhedron,
     RationalCone,
@@ -118,6 +116,15 @@ class TestDualConeDifferential:
         for _ in range(count):
             cone = random_cone(rng, d)
             assert dual_cone(cone) == dual_cone_by_subsets(cone), cone
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_dual_of_a_dual_is_an_involution(self, d):
+        """300 seeded cones per dimension: a dual cone's generators are
+        canonical, so dualizing one twice gives it back exactly."""
+        rng = random.Random(1900 + d)
+        for _ in range(300):
+            dual = dual_cone(random_cone(rng, d))
+            assert dual_cone(dual_cone(dual)) == dual, dual
 
     @pytest.mark.parametrize(
         "gens, dim",
@@ -528,21 +535,21 @@ class TestPolytopePart:
 
 class TestHalfspace:
     def test_spanning_rays_not_contained(self):
-        assert rays_in_halfspace([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) is NOT_CONTAINED
+        assert rays_in_halfspace([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) is None
 
     def test_orthant_contained(self):
         res = rays_in_halfspace([(1, 0), (0, 1)], 2)
-        assert isinstance(res, ContainedWith)
-        assert dot(res.normal, (1, 0)) >= 0 and dot(res.normal, (0, 1)) >= 0
-        assert any(res.normal)
+        assert res is not None
+        assert dot(res, (1, 0)) >= 0 and dot(res, (0, 1)) >= 0
+        assert any(res)
 
     def test_empty_ray_set(self):
         res = rays_in_halfspace([], 2)
-        assert isinstance(res, ContainedWith)
+        assert res is not None
 
     def test_one_dim(self):
-        assert rays_in_halfspace([(1,), (-1,)], 1) is NOT_CONTAINED
-        assert isinstance(rays_in_halfspace([(1,)], 1), ContainedWith)
+        assert rays_in_halfspace([(1,), (-1,)], 1) is None
+        assert rays_in_halfspace([(1,)], 1) is not None
 
     def test_matches_rank_test_per_vector(self):
         # the pivot columns of one elimination against the old greedy loop
@@ -572,16 +579,16 @@ class TestHalfspace:
             seen["duplicate"] += len(set(map(primitive, nonzero))) < len(nonzero)
             seen["dependent"] += dim <= rank < len(nonzero)
             seen["deficient"] += rank < dim
-            seen["contained" if isinstance(result, ContainedWith) else "not contained"] += 1
+            seen["contained" if result is not None else "not contained"] += 1
         assert min(seen.values()) >= 200, seen
 
     def test_extend_accepts_compatible(self):
         seed = RationalCone(((1, 0), (1, 1)), 2)
         res = is_in_halfspace_extend([(0, 1), (1, 2)], seed, (1, 0))
-        assert isinstance(res, ContainedWith)
+        assert res is not None
         for v in [(1, 0), (1, 1), (0, 1), (1, 2)]:
-            assert dot(res.normal, v) >= 0
+            assert dot(res, v) >= 0
 
     def test_extend_refutes_spanning(self):
         seed = RationalCone(((1, 0), (1, 1)), 2)
-        assert is_in_halfspace_extend([(0, 1), (-1, -1), (1, -2)], seed, (1, 0)) is NOT_CONTAINED
+        assert is_in_halfspace_extend([(0, 1), (-1, -1), (1, -2)], seed, (1, 0)) is None

@@ -8,8 +8,9 @@ import pytest
 from helpers import random_spec, reference_positivity_test, reference_special_matrix
 from oracle import special_matrix_by_scan
 
-from glaurent.exactmat import IntMatrix, dot
-from glaurent.grading import ActionSpec, associated_vectors
+from glaurent.exactmat import IntMatrix, dot, rational_rank
+from glaurent.grading import ActionSpec, NotFaithful, associated_vectors
+from glaurent.polycone import rays_in_halfspace
 from glaurent.positivity import (
     BlockFormUnavailable,
     SpecialForm,
@@ -187,9 +188,71 @@ class TestCertificates:
         assert flipped.weights.rows == ((1, 2, 3),)
 
 
+def laurent_free_spec(rng):
+    """A faithful action whose one Laurent column is zero on the free rows
+    and nonzero on the torsion row, so that no block form exists."""
+    while True:
+        r = rng.randint(2, 4)
+        p = rng.randint(2, min(3, r))
+        order = rng.choice([2, 3, 4])
+        rows = [tuple(rng.randint(-2, 2) for _ in range(r)) + (0,) for _ in range(p)]
+        rows.append(tuple(rng.randrange(order) for _ in range(r)) + (rng.randint(1, order - 1),))
+        if rational_rank(rows) < p + 1:
+            continue
+        spec = spec_of(r, 1, p, (order,), rows)
+        try:
+            associated_vectors(spec)
+        except NotFaithful:
+            continue
+        return spec
+
+
+class TestCertificateProperties:
+    def test_laurent_column_zero_on_free_rows(self):
+        spec = spec_of(2, 1, 2, (3,), [(1, 0, 0), (0, -1, 0), (1, 1, 1)])
+        with pytest.raises(BlockFormUnavailable):
+            special_matrix(spec)
+        v = positivity_test(spec)
+        assert (v.positive, v.halfspace_normal, v.flip_set) == (False, (1,), None)
+
+    def test_every_certificate_checks_out(self):
+        """1,000 seeded specs (up to 6 variables, up to 3 free rows, entries
+        in [-2, 2]) and 100 with no block form: each normal is nonzero and
+        pairs nonnegatively with every ray, each flip set makes the grading
+        positive, each verdict matches the direct half-space search, and
+        each certificate equals the reference one."""
+        rng = random.Random(1800)
+        specs = [random_spec(rng, max_p=3, lo=-2, hi=2) for _ in range(1000)]
+        specs += [laurent_free_spec(rng) for _ in range(100)]
+        routes = Counter()
+        for spec in specs:
+            v = positivity_test(spec)
+            assert v == reference_positivity_test(spec), spec
+            kd = associated_vectors(spec)
+            assert v.positive == (rays_in_halfspace(kd.rays, kd.l) is None), spec
+            if v.halfspace_normal is not None:
+                assert any(v.halfspace_normal), spec
+                assert all(dot(v.halfspace_normal, ray) >= 0 for ray in kd.rays), spec
+            if v.flip_set is not None:
+                assert positivity_test(flip_matrix(spec, v.flip_set)).positive, spec
+            if v.failed_condition is not None:
+                routes["necessary"] += 1
+                continue
+            try:
+                special_matrix(spec)
+            except BlockFormUnavailable:
+                routes["no block form"] += 1
+                continue
+            if v.positive:
+                routes["positive"] += 1
+            else:
+                assert v.halfspace_normal is not None, spec
+                routes["chain flip" if v.flip_set is not None else "uncovered"] += 1
+        assert len(routes) == 5 and min(routes.values()) >= 20, routes
+
+
 class TestAgreementWithDirectRoute:
     def test_small_grid_of_matrices(self):
-        from glaurent.polycone import NOT_CONTAINED, rays_in_halfspace
         from itertools import product
 
         for a, b in product(range(-2, 3), repeat=2):
@@ -199,5 +262,5 @@ class TestAgreementWithDirectRoute:
                 continue  # not faithful
             v = positivity_test(spec)
             kd = associated_vectors(spec)
-            direct = rays_in_halfspace(kd.rays, kd.l) is NOT_CONTAINED
+            direct = rays_in_halfspace(kd.rays, kd.l) is None
             assert v.positive == direct, rows
