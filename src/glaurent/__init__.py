@@ -18,7 +18,7 @@ from .components import (
     component_dimension,
     s0_generators,
 )
-from .exactmat import DimensionMismatch, IntMatrix, SingularMatrix
+from .exactmat import DimensionMismatch, IntMatrix, SingularMatrix, solve_integer
 from .grading import (
     ActionSpec,
     DegreeVector,
@@ -38,6 +38,7 @@ from .polycone import (
     RationalCone,
     Unbounded,
     dual_cone,
+    dual_hilbert_basis,
     hilbert_basis,
     lattice_points,
     rays_in_halfspace,
@@ -80,6 +81,7 @@ __all__ = [
     "component_dimension",
     "degree",
     "dual_cone",
+    "dual_hilbert_basis",
     "find_representative",
     "flip_matrix",
     "hilbert_basis",
@@ -87,5 +89,6 @@ __all__ = [
     "positivity_test",
     "rays_in_halfspace",
     "s0_generators",
+    "solve_integer",
     "special_matrix",
 ]

@@ -13,6 +13,7 @@ finitely generated module over it; we produce both generating sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .exactmat import Vec, reduce_mod_lattice, vadd
 from .grading import (
@@ -28,8 +29,7 @@ from .polycone import (
     Polyhedron,
     RationalCone,
     Unbounded,
-    dual_cone,
-    hilbert_basis,
+    dual_hilbert_basis,
     lattice_points,
     polytope_part,
     split_lineality,
@@ -37,15 +37,8 @@ from .polycone import (
 )
 
 
-class _Infinite:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "INFINITE"
-
-
-#: Sentinel dimension of an infinite dimensional component.
-INFINITE = _Infinite()
+#: Dimension of an infinite dimensional component.
+INFINITE = inf
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,11 @@ def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
     """Canonical ring generators of the degree-zero component.
 
     Empty exactly when the grading is positive.  Otherwise the Hilbert basis
-    of the dual of the cone spanned by the rays, pushed into exponents.
+    of the cone ``{z : <v, z> >= 0}`` over the rays ``v``, pushed into
+    exponents.
     """
     kd = associated_vectors(spec)
-    cone = RationalCone(tuple(kd.rays), kd.l)
-    basis = hilbert_basis(dual_cone(cone))
+    basis = dual_hilbert_basis(RationalCone(tuple(kd.rays), kd.l))
     return tuple(
         map(Monomial, sorted((kd.basis.apply(h) for h in basis.elements), reverse=True))
     )

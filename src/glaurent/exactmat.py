@@ -284,20 +284,30 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     The basis is saturated: every integer kernel vector is an integer
     combination of the columns.
     """
-    _, s, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(a.nrows, a.cols)) if s.rows[i][i])
-    return IntMatrix.from_columns([v.col(j) for j in range(r, a.cols)], a.cols)
+    return _smith_kernel(smith_normal_form(a))
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vec | None:
     """One integer solution of ``a @ x == b``, or ``None`` if there is none."""
     if len(b) != a.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    u, s, v = smith_normal_form(a)
+    return _smith_solve(smith_normal_form(a), b)
+
+
+def _smith_kernel(snf: tuple[IntMatrix, IntMatrix, IntMatrix]) -> IntMatrix:
+    """:func:`integer_kernel` of ``a``, read off its Smith normal form."""
+    _, s, v = snf
+    r = sum(1 for i in range(min(s.nrows, s.cols)) if s.rows[i][i])
+    return IntMatrix.from_columns([v.col(j) for j in range(r, s.cols)], s.cols)
+
+
+def _smith_solve(snf: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int]) -> Vec | None:
+    """:func:`solve_integer` for ``a``, read off its Smith normal form."""
+    u, s, v = snf
     c = u.apply(int_vector(b))
-    n = a.cols
+    n = s.cols
     y = [0] * n
-    for i in range(a.nrows):
+    for i in range(s.nrows):
         si = s.rows[i][i] if i < n else 0
         if si:
             if c[i] % si:

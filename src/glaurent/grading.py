@@ -18,11 +18,12 @@ from .exactmat import (
     DimensionMismatch,
     IntMatrix,
     Vec,
+    _smith_kernel,
+    _smith_solve,
     int_vector,
-    integer_kernel,
     rational_rank,
     reduce_mod_lattice,
-    solve_integer,
+    smith_normal_form,
     vadd,
 )
 from .polycone import Polyhedron, lattice_points
@@ -193,6 +194,13 @@ def _stacked_matrix(spec: ActionSpec) -> IntMatrix:
 
 
 @lru_cache(maxsize=256)
+def _stacked_smith(spec: ActionSpec) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    # one Smith normal form per spec serves the kernel lattice and every
+    # representative search; the cache matches associated_vectors'
+    return smith_normal_form(_stacked_matrix(spec))
+
+
+@lru_cache(maxsize=256)
 def associated_vectors(spec: ActionSpec) -> KernelData:
     """Compute the degree-zero exponent lattice of a faithful action.
 
@@ -204,8 +212,7 @@ def associated_vectors(spec: ActionSpec) -> KernelData:
     rk = rational_rank(spec.weights.rows)
     if rk < spec.m:
         raise NotFaithful(f"weight matrix rank {rk} below grading rank {spec.m}")
-    stacked = _stacked_matrix(spec)
-    full = integer_kernel(stacked)
+    full = _smith_kernel(_stacked_smith(spec))
     # the projection to the first n coordinates is injective on this kernel:
     # a kernel vector with zero exponent part forces all torsion multipliers
     # to vanish because the torsion orders are nonzero.
@@ -254,8 +261,7 @@ def find_representative(
         raise DimensionMismatch("degree vector does not match the action's torsion")
     if len(a.free) != spec.p:
         raise DimensionMismatch("degree vector free part does not match the action")
-    stacked = _stacked_matrix(spec)
-    sol = solve_integer(stacked, a.lift())
+    sol = _smith_solve(_stacked_smith(spec), a.lift())
     if sol is None:
         raise RepresentativeNotFound(search_bound, conclusive=True)
     phi0 = _recentre(kd, sol[: spec.n])

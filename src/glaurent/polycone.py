@@ -2,8 +2,12 @@
 
 Everything here is exact and free of floating point: cones are given by
 integer generators, polyhedra by integer inequality rows ``<a, u> >= c``.
-Fourier-Motzkin, the double-description dual, the pulling triangulation
-behind Hilbert bases, and the spans, ranks and kernels all run in integers.
+Fourier-Motzkin, the double-description dual, the Hilbert bases, and the
+spans, ranks and kernels all run in integers.  A cone given by generators
+gets its Hilbert basis from a pulling triangulation; a cone given by
+inequalities, as the degree-zero cone and the homogenized polyhedra are,
+gets it from Pottier's completion over the inequalities themselves, which
+for a polyhedron stops at level 1.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import le, mul
+from operator import add, le, mul
 
 from .exactmat import (
     DimensionMismatch,
@@ -271,46 +275,209 @@ def lattice_points(poly: Polyhedron) -> list[Vec]:
 def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     """Generators of the monoid of lattice points of the cone, sorted.
 
-    Pointed cones are read off one pulling triangulation; cones with
-    lineality are handled by splitting off the lineality lattice; see
-    :class:`HilbertBasis` for what minimality means in that case.  The cache
-    keeps the 1024 most recently used cones.
+    The pointed quotient of :func:`_pointed_quotient` is read off one pulling
+    triangulation of the generators; see :class:`HilbertBasis` for what
+    minimality means for a cone with lineality.  For a cone given by
+    inequalities, :func:`dual_hilbert_basis` finds the same basis without
+    its generators.  The cache keeps the 1024 most recently used cones.
     """
     gens = cone.generators
     if not gens:
         return HilbertBasis(())
-    d = cone.dim
-    span = rational_kernel_basis(gens, d)
-    k = d - len(span)
-    if k < d:
-        # restrict to the saturated lattice of the linear span, where the
-        # cone is full-dimensional; the monoid is carried over isomorphically.
-        # With u @ lattice @ v = [I; 0] (saturated), g = lattice @ x gives
-        # x = v @ (u @ g)[:k]
-        lattice = integer_kernel(IntMatrix.from_rows(span, d))
-        u, _, v = smith_normal_form(lattice)
-        coords = tuple(v.apply(u.apply(g)[:k]) for g in gens)
-        inner = hilbert_basis(RationalCone(coords, k))
-        lifted = [lattice.apply(h) for h in inner.elements]
-        return HilbertBasis(tuple(sorted(lifted)))
-    lin_basis = rational_kernel_basis(dual_cone(cone).generators, d)
+    section, lineality = _pointed_quotient(gens, dual_cone(cone).generators, cone.dim)
+    # [lineality basis | section] is a basis of the span lattice; with
+    # u @ basis @ v = [I; 0], z = basis @ x gives x = v @ (u @ z)[:k]
+    basis = IntMatrix.from_columns(lineality[::2] + list(zip(*section.rows)), cone.dim)
+    u, _, v = smith_normal_form(basis)
+    k, q = basis.cols, len(lineality) // 2
+    quotient = RationalCone(tuple(v.apply(u.apply(g)[:k])[q:] for g in gens), k - q)
+    out = lineality + [section.apply(h) for h in _hilbert_pointed(quotient)]
+    return HilbertBasis(tuple(sorted(out)))
+
+
+@lru_cache(maxsize=1024)
+def dual_hilbert_basis(normals: RationalCone) -> HilbertBasis:
+    """The Hilbert basis of ``dual_cone(normals)``, sorted.
+
+    That cone is ``{z : <a, z> >= 0}`` over the generators ``a`` of
+    ``normals``, and the completion of :func:`_monoid_basis` runs on these
+    inequalities as given: the result equals ``hilbert_basis(dual_cone(
+    normals))`` without a second dual.  The cache keeps the 1024 most
+    recently used cones.
+    """
+    return HilbertBasis(
+        _monoid_basis(dual_cone(normals).generators, normals.generators, normals.dim)
+    )
+
+
+def _monoid_basis(gens, forms, d: int, level: Vec | None = None) -> tuple[Vec, ...]:
+    """The sorted Hilbert basis of the cone ``{z : <f, z> >= 0 for f in
+    forms}``, whose generators ``gens`` the caller's ``dual_cone`` pass gave;
+    with a ``level`` form nonnegative on the cone, only its elements at
+    level 0 and 1.
+
+    The forms are carried into the coordinates of :func:`_pointed_quotient`,
+    where :func:`_hilbert_by_completion` runs on them.
+    """
+    section, out = _pointed_quotient(gens, forms, d)
+    restrict = section.transpose().apply
+    pointed = _hilbert_by_completion(
+        [restrict(f) for f in forms], section.cols, level and restrict(level)
+    )
+    return tuple(sorted(out + [section.apply(h) for h in pointed]))
+
+
+def _pointed_quotient(gens, forms, d: int) -> tuple[IntMatrix, list[Vec]]:
+    """Coordinates in which the cone ``{z : <f, z> >= 0 for f in forms}``,
+    with generators ``gens``, is pointed and full-dimensional.
+
+    The cone is moved into the saturated lattice of its span, where the forms
+    vanishing on it (its implicit equalities) become zero, and its lineality
+    is split off in the coordinates of :func:`_lineality_coordinates`.
+    Returns ``(section, lineality)``: the columns of ``section`` complete a
+    lineality lattice basis to a basis of the span lattice, so the Hilbert
+    basis is ``section`` applied to that of the pointed quotient, plus
+    ``lineality``, both signs of each lineality basis vector.
+    """
+    section = integer_kernel(IntMatrix.from_rows(rational_kernel_basis(gens, d), d))
+    k = section.cols
+    lineality: list[Vec] = []
+    lin_basis = rational_kernel_basis([section.transpose().apply(f) for f in forms], k)
     if lin_basis:
-        return HilbertBasis(_hilbert_with_lineality(cone, lin_basis))
-    return HilbertBasis(tuple(sorted(_hilbert_pointed(cone))))
+        _, _, u_inv = _lineality_coordinates(rational_kernel_basis(lin_basis, k), k)
+        for j in range(len(lin_basis)):
+            e = section.apply(u_inv.col(j))
+            lineality += [e, tuple(-x for x in e)]
+        section = section @ u_inv.submatrix(range(k), range(len(lin_basis), k))
+    return section, lineality
 
 
-def _hilbert_with_lineality(cone: RationalCone, lin_basis: list[Vec]) -> tuple[Vec, ...]:
-    # the quotient cone in the coordinates after the lineality is pointed
-    d = cone.dim
-    q = len(lin_basis)
-    _, u_mat, u_inv = _lineality_coordinates(rational_kernel_basis(lin_basis, d), d)
-    quotient = RationalCone(tuple(u_mat.apply(g)[q:] for g in cone.generators), d - q)
-    out = [u_inv.apply((0,) * q + h) for h in hilbert_basis(quotient).elements]
-    for j in range(q):
-        e = u_inv.col(j)
-        out.append(e)
-        out.append(tuple(-x for x in e))
-    return tuple(sorted(set(out)))
+def _hilbert_by_completion(forms, d: int, level: Vec | None) -> list[Vec]:
+    """Hilbert basis of the pointed full-dimensional cone ``{y : <f, y> >= 0
+    for f in forms}``; with a ``level`` form, only its elements at level 0
+    and 1.
+
+    Pottier's completion (Pottier, ISSAC 1996; the dual mode of Normaliz,
+    Bruns-Ichim 2010) adds one form at a time to the Hilbert basis of the
+    cone cut so far.  The seed is a unimodular cone containing the cone,
+    level form first, so its basis is its rays.  Its rows start as the pivot basis
+    of one elimination among the forms; while putting another form in place
+    of one row lowers ``|det|``, the exchange that lowers it most is made.
+    Then each step puts in place of a row the lattice point of the rows'
+    cone, which lies in the dual cone, that lowers ``|det|`` most, down to
+    1.  An element is kept as the tuple of its values on the rows and
+    forms, which add under sums and fix it.  With ``t >= 0`` for the level
+    ``t`` among the rows, sums only raise ``t``, so every element and sum at
+    ``t >= 2`` is dropped.
+    """
+    if d == 0:
+        return []
+    order = [] if level is None else [primitive(level)]
+    top = None if level is None else 1 // gcd(*level)
+    seen = set(order)
+    for f in map(primitive, forms):
+        if any(f) and f not in seen:
+            seen.add(f)
+            order.append(f)
+    _, _, basis = _gauss_jordan(list(zip(*order)), len(order))
+    fixed = 0 if level is None else 1
+    while True:
+        det, adj = det_and_scaled_inverse(IntMatrix.from_rows([order[j] for j in basis], d))
+        # putting f in place of basis form i gives the determinant (adj^T f)_i
+        exchange = adj.transpose().apply
+        swaps = [
+            (abs(x), i, j)
+            for j, f in enumerate(order) if j not in basis
+            for i, x in enumerate(exchange(f)) if i >= fixed and 0 < abs(x) < abs(det)
+        ]
+        if not swaps:
+            break
+        _, i, j = min(swaps)
+        basis[i] = j
+    rows = [order[j] for j in basis]
+    while abs(det) > 1:
+        # e_k = sum c_i rows_i with c = row k of adj / det; its class mod the
+        # rows' lattice is the point sum frac(c_i) rows_i of the dual cone,
+        # and it replaces row i with determinant det frac(c_i)
+        size = abs(det)
+        sign = 1 if det > 0 else -1
+        _, k, i = min(
+            (sign * adj.rows[k][i] % size, k, i)
+            for k in range(d) for i in range(fixed, d) if sign * adj.rows[k][i] % size
+        )
+        frac = [sign * x % size for x in adj.rows[k]]
+        rows[i] = tuple(sum(map(mul, frac, col)) // size for col in zip(*rows))
+        det, adj = det_and_scaled_inverse(IntMatrix.from_rows(rows, d))
+    chosen = set(rows)
+    forms = rows + [f for f in order if f not in chosen]
+    # the rows' dual basis, the columns of det adj, is the seed's Hilbert basis
+    elements = [
+        tuple([det * sum(map(mul, f, y)) for f in forms]) for y in zip(*adj.rows)
+    ]
+    if top is not None:
+        elements = [v for v in elements if v[0] <= top]
+    for j in range(d, len(forms)):
+        elements = _add_form(elements, j, top)
+    # the first d values are B y for the seed matrix B, and adj B = det I
+    # with det = +-1
+    return [tuple(det * x for x in adj.apply(v[:d])) for v in elements]
+
+
+def _add_form(elements: list[Vec], j: int, top: int | None) -> list[Vec]:
+    """The basis of the cone cut so far by forms ``0..j-1``, as value tuples,
+    cut by form ``j`` too; form 0 is the level when ``top`` bounds it.
+
+    Each sum of a positive and a negative element on form ``j`` is kept
+    unless an element reduces it: one whose values on forms ``0..j-1`` are
+    no larger, and whose value on form ``j`` has the same sign or is zero
+    and is no larger in absolute value.  Sums are tried in order of their
+    norm, the sum of those absolute values, so reducers come first.
+    """
+    # reducers by sign on form j, as (|value on j|, values on 0..j-1)
+    keys: dict[int, list[Vec]] = {1: [], -1: [], 0: []}
+    sides: dict[int, list[Vec]] = {1: [], -1: [], 0: []}
+    fresh: dict[int, list[Vec]] = {1: [], -1: []}
+
+    def admit(v: Vec) -> None:
+        side = (v[j] > 0) - (v[j] < 0)
+        key = (abs(v[j]),) + v[:j]
+        if any(all(map(le, w, key)) for w in keys[side]) or (
+            side and any(all(map(le, w, key)) for w in keys[0])
+        ):
+            return
+        keys[side].append(key)
+        if side:
+            fresh[side].append(v)
+        else:
+            sides[0].append(v)
+
+    for v in elements:
+        admit(v)
+    while fresh[1] or fresh[-1]:
+        pos, neg = fresh[1], fresh[-1]
+        fresh[1], fresh[-1] = [], []
+        sums = {tuple(map(add, p, n)) for p in pos for n in sides[-1] + neg}
+        sums.update(tuple(map(add, p, n)) for p in sides[1] for n in neg)
+        sides[1] += pos
+        sides[-1] += neg
+        if top is not None:
+            sums = {s for s in sums if s[0] <= top}
+        for s in sorted(sums, key=lambda s: sum(s[:j]) + abs(s[j])):
+            admit(s)
+    return _undominated(sides[1] + sides[0], j + 1)
+
+
+def _undominated(values, length: int) -> list[Vec]:
+    """The value tuples, nonnegative on their first ``length`` entries, that
+    no other one is at most on all of those entries."""
+    kept: list[Vec] = []
+    keys: list[Vec] = []
+    for v in sorted(values, key=lambda v: sum(v[:length])):
+        key = v[:length]
+        if not any(all(map(le, w, key)) for w in keys):
+            kept.append(v)
+            keys.append(key)
+    return kept
 
 
 def _lineality_coordinates(rows, d: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -502,20 +669,23 @@ def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], HilbertBasis]:
     point of ``poly`` is one of ``core_points`` plus a monoid combination of
     the recession cone's Hilbert basis, and — when the recession cone is
     trivial — ``core_points`` are exactly the lattice points of ``poly``.
+    They are the elements at levels 1 and 0 of the Hilbert basis of the
+    homogenized cone ``{(u, t) : <a, u> >= c t, t >= 0}``, and the completion
+    of :func:`_monoid_basis` computes no other: with ``t >= 0`` in its seed,
+    sums only raise ``t``, so it drops every element at ``t >= 2``.
 
     Raises :class:`EmptyPolyhedron` when the polyhedron has no real points,
-    that is when no generator of the homogenized cone ``{(u, t) : <a, u> >=
-    c t, t >= 0}`` has ``t > 0``.
+    that is when no generator of the homogenized cone has ``t > 0``.
     """
     d = poly.dim
-    homogenized = [a + (-c,) for a, c in poly.rows]
-    homogenized.append(tuple(0 for _ in range(d)) + (1,))
-    cone = dual_cone(RationalCone(tuple(homogenized), d + 1))
+    level = (0,) * d + (1,)
+    normals = RationalCone(tuple(a + (-c,) for a, c in poly.rows) + (level,), d + 1)
+    cone = dual_cone(normals)
     if not any(g[-1] > 0 for g in cone.generators):
         raise EmptyPolyhedron(f"no solutions in dimension {poly.dim}")
-    basis = hilbert_basis(cone)
-    core = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 1))
-    level0 = tuple(sorted(h[:-1] for h in basis.elements if h[-1] == 0))
+    elements = _monoid_basis(cone.generators, normals.generators, d + 1, level)
+    core = tuple(sorted(h[:-1] for h in elements if h[-1] == 1))
+    level0 = tuple(sorted(h[:-1] for h in elements if h[-1] == 0))
     return core, HilbertBasis(level0)
 
 

@@ -8,7 +8,7 @@ import pytest
 from helpers import is_bounded, random_spec
 from oracle import nonneg_combination_checker, prune_points
 
-from glaurent import components, grading
+from glaurent import components, grading, polycone
 from glaurent.components import (
     INFINITE,
     FiniteBasis,
@@ -23,7 +23,10 @@ from glaurent.exactmat import IntMatrix, reduce_mod_lattice, vadd
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
 from glaurent.polycone import (
     Polyhedron,
+    RationalCone,
     Unbounded,
+    dual_cone,
+    dual_hilbert_basis,
     lattice_points,
     polytope_part,
     split_lineality,
@@ -196,6 +199,37 @@ class TestPruneDifferential:
             expected = prune_points(region, quotient, recession_hb.elements)
             assert list(core) == expected, spec
             done += 1
+
+
+class TestTruncatedCompletion:
+    def test_levels_up_to_one_of_the_full_basis(self):
+        # 400 quotient polyhedra from 1-2 weight rows with torsion and Laurent
+        # columns, bounded or not: with t >= 0 in the seed, the completion
+        # that drops every element at t >= 2 returns exactly the elements at
+        # t <= 1 of the full Hilbert basis of the homogenized cone
+        rng = random.Random(8400)
+        seen = collections.Counter()
+        for _ in range(400):
+            spec = random_spec(rng, max_n=5, max_p=2, max_t=1, lo=-4, hi=4)
+            kd = associated_vectors(spec)
+            phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
+            phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
+            quotient, _, _ = split_lineality(build_polytope(kd, phi))
+            d = quotient.dim
+            level = (0,) * d + (1,)
+            normals = RationalCone(
+                tuple(a + (-c,) for a, c in quotient.rows) + (level,), d + 1
+            )
+            gens = dual_cone(normals).generators
+            full = dual_hilbert_basis(normals).elements
+            truncated = polycone._monoid_basis(gens, normals.generators, d + 1, level)
+            assert truncated == tuple(h for h in full if h[-1] <= 1), (spec, phi)
+            core, recession_hb = polytope_part(quotient)
+            assert core == tuple(h[:-1] for h in truncated if h[-1] == 1)
+            assert recession_hb.elements == tuple(h[:-1] for h in truncated if h[-1] == 0)
+            seen["dropped"] += len(truncated) < len(full)
+            seen["unbounded"] += bool(recession_hb.elements)
+        assert seen["dropped"] >= 100 and seen["unbounded"] >= 100, seen
 
 
 class TestFinitenessFromEnumeration:

@@ -243,6 +243,26 @@ class TestKernelAndSolve:
         k = integer_kernel(IntMatrix.from_rows([(1, 0), (0, 1)], 2))
         assert k.cols == 0 and k.nrows == 2
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=5
+            ).map(lambda rows: (rows, n))
+        )
+    )
+    def test_integer_kernel_properties(self, case):
+        """``A K = 0``, ``K`` has ``n - rank(A)`` columns, and they are
+        saturated: sympy finds every invariant factor of ``K`` equal to 1."""
+        rows, n = case
+        k = integer_kernel(IntMatrix.from_rows(rows, n))
+        assert k.nrows == n
+        assert all(dot(row, k.col(j)) == 0 for row in rows for j in range(k.cols))
+        assert k.cols == n - fraction_rank(rows)
+        if k.cols:
+            factors = invariant_factors(sympy.Matrix(k.rows), domain=sympy.ZZ)
+            assert [int(f) for f in factors] == [1] * k.cols
+
     def test_solve_integer(self):
         a = IntMatrix.from_rows([(2,)], 1)
         assert solve_integer(a, (4,)) == (2,)

@@ -14,7 +14,7 @@ from helpers import (
     reference_rays_in_halfspace,
     reference_span_hilbert_basis,
 )
-from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets
+from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets, nonneg_combination_checker
 
 from glaurent import polycone
 from glaurent.polycone import (
@@ -23,6 +23,7 @@ from glaurent.polycone import (
     RationalCone,
     Unbounded,
     dual_cone,
+    dual_hilbert_basis,
     hilbert_basis,
     is_in_halfspace_extend,
     lattice_points,
@@ -404,6 +405,104 @@ class TestHilbertBasisDifferential:
         cone = RationalCone(gens, dim)
         assert hilbert_basis(cone).elements == expected
         assert sorted(hilbert_basis_by_subsets(cone)) == list(expected)
+
+
+def random_normals(rng: random.Random, kind: str) -> RationalCone:
+    """Seeded inequality normals in dimensions 1-4, entries in [-2, 2], each
+    turned to be nonnegative on a random point ``c``.
+
+    ``pointed`` normals span the space.  ``equalities`` add both signs of a
+    normal orthogonal to ``c``, so the cone they cut is not full-dimensional.
+    ``lineality`` normals are projected into a hyperplane first.  Half the
+    ``trivial`` sets hold both signs of a basis, so they cut out only the
+    origin, and half are empty, so they cut out the whole space.
+    """
+    d = rng.randint(1, 4)
+    if kind == "trivial" and rng.random() < 0.5:
+        return RationalCone((), d)
+    while True:
+        c = tuple(rng.randint(-2, 2) for _ in range(d))
+        w = tuple(rng.randint(-2, 2) for _ in range(d))
+        if not any(c) or not any(w):
+            continue
+        normals = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 3))]
+        if kind == "lineality":
+            # the component orthogonal to w
+            normals = [tuple(dot(w, w) * x - dot(w, a) * y for x, y in zip(a, w)) for a in normals]
+        normals = [a if dot(a, c) >= 0 else tuple(-x for x in a) for a in normals]
+        if kind == "equalities":
+            a = tuple(dot(c, c) * x - dot(c, w) * y for x, y in zip(w, c))
+            normals += [a, tuple(-x for x in a)]
+        if kind == "trivial":
+            normals += [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+        cone = RationalCone(tuple(normals), d)
+        rank = rational_rank(cone.generators) if cone.generators else 0
+        if (rank < d) == (kind == "lineality"):
+            return cone
+
+
+class TestDualHilbertBasis:
+    """The completion from inequalities against the triangulation of the
+    dual cone's generators, the round trip it replaced in the library."""
+
+    # 1,200 seeded normal sets, 300 of each kind
+    @pytest.mark.parametrize("kind", ["pointed", "equalities", "lineality", "trivial"])
+    def test_matches_triangulation_of_dual(self, kind):
+        rng = random.Random(["pointed", "equalities", "lineality", "trivial"].index(kind) + 1900)
+        seen = {"implicit equality": 0, "lineality": 0, "origin only": 0, "whole space": 0,
+                "lifted": 0}
+        for _ in range(300):
+            normals = random_normals(rng, kind)
+            dual = dual_cone(normals)
+            expected = hilbert_basis(dual).elements
+            assert dual_hilbert_basis(normals).elements == expected, normals
+            d = normals.dim
+            seen["origin only"] += not dual.generators
+            seen["whole space"] += not normals.generators
+            seen["implicit equality"] += 0 < rational_rank(dual.generators) < d
+            seen["lineality"] += bool(dual.generators) and bool(
+                rational_kernel_basis(normals.generators, d)
+            )
+            seen["lifted"] += not set(expected) <= set(dual.generators)
+        if kind == "trivial":
+            assert seen["origin only"] + seen["whole space"] == 300
+            assert min(seen["origin only"], seen["whole space"]) >= 100, seen
+        else:
+            assert seen["lifted"] >= 50, seen
+        if kind == "equalities":
+            assert seen["implicit equality"] >= 100, seen
+        if kind == "lineality":
+            assert seen["lineality"] == 300, seen
+
+    @pytest.mark.parametrize(
+        "normals, size",
+        [
+            # not full-dimensional: one implicit equality among 7 forms
+            ([(1, -1, -2, 0, 0), (0, 1, -1, -1, 2), (0, 1, 0, -2, -2), (-2, -2, -1, 0, -2),
+              (1, 2, -1, -1, -1), (-2, -2, -2, -2, 1), (-1, 1, 2, 0, 0)], 149),
+            ([(1, -1, 2, 1, 2), (2, 2, -1, -2, 1), (2, -1, 1, 2, 1), (-1, 2, 1, 0, -2),
+              (1, 1, 0, -2, 0), (-2, -1, 2, 0, 0)], 216),
+        ],
+    )
+    def test_large_bases_by_properties(self, normals, size):
+        """Each element is in the cone, none is another plus a cone point,
+        and every cone point of the box ``[-3, 3]^5`` is a sum of elements."""
+        basis = dual_hilbert_basis(RationalCone(tuple(normals), 5)).elements
+        assert len(basis) == size
+
+        def inside(v):
+            return all(dot(a, v) >= 0 for a in normals)
+
+        assert all(map(inside, basis))
+        for h in basis:
+            for g in basis:
+                if g != h:
+                    assert not inside(tuple(x - y for x, y in zip(h, g))), (h, g)
+        # the forms have full rank, so their sum is positive off the origin
+        member = nonneg_combination_checker(basis, tuple(map(sum, zip(*normals))))
+        box = [v for v in product(range(-3, 4), repeat=5) if any(v) and inside(v)]
+        assert len(box) >= 20
+        assert all(map(member, box))
 
 
 def random_simplex_matrix(rng, d: int, max_det: int) -> IntMatrix:
