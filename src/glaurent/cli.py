@@ -55,7 +55,7 @@ def load_instance(path: str) -> ActionSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise _InstanceError(f"cannot read {path}: {exc}", _PARSE_ERROR)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _InstanceError(f"invalid instance document: {exc}", _PARSE_ERROR)
     if not isinstance(raw, dict):
         raise _InstanceError("instance document must be an object", _PARSE_ERROR)

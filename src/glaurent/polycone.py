@@ -48,7 +48,9 @@ class RationalCone:
 
     Generators are normalized on construction: zero vectors are dropped,
     every generator is made primitive, and duplicates are removed keeping
-    the first occurrence.  ``dim`` is the ambient dimension.
+    the first occurrence.  ``dim`` is the ambient dimension.  Every
+    generator must have length ``dim`` (else :class:`DimensionMismatch`)
+    and ``int`` entries (else :class:`TypeError`).
     """
 
     generators: tuple[Vec, ...]
@@ -56,9 +58,9 @@ class RationalCone:
 
     def __post_init__(self) -> None:
         seen: dict[Vec, None] = {}
-        for g in self.generators:
+        for g in map(int_vector, self.generators):
             if len(g) != self.dim:
-                raise ValueError(f"generator {g} not of length {self.dim}")
+                raise DimensionMismatch(f"generator {g} not of length {self.dim}")
             g = primitive(g)
             if any(g) and g not in seen:
                 seen[g] = None
@@ -282,16 +284,17 @@ def hilbert_basis(cone: RationalCone) -> HilbertBasis:
     its generators.  The cache keeps the 1024 most recently used cones.
     """
     gens = cone.generators
-    if not gens:
-        return HilbertBasis(())
-    section, lineality = _pointed_quotient(gens, dual_cone(cone).generators, cone.dim)
+    dual = dual_cone(cone).generators
+    section, lineality = _pointed_quotient(gens, dual, cone.dim)
     # [lineality basis | section] is a basis of the span lattice; with
     # u @ basis @ v = [I; 0], z = basis @ x gives x = v @ (u @ z)[:k]
     basis = IntMatrix.from_columns(lineality[::2] + list(zip(*section.rows)), cone.dim)
     u, _, v = smith_normal_form(basis)
     k, q = basis.cols, len(lineality) // 2
     quotient = RationalCone(tuple(v.apply(u.apply(g)[:k])[q:] for g in gens), k - q)
-    out = lineality + [section.apply(h) for h in _hilbert_pointed(quotient)]
+    # the dual's rays restrict to the quotient's facet normals; its lineality to 0
+    forms = [f for f in map(section.transpose().apply, dual) if any(f)]
+    out = lineality + [section.apply(h) for h in _hilbert_pointed(quotient, forms)]
     return HilbertBasis(tuple(sorted(out)))
 
 
@@ -344,7 +347,7 @@ def _pointed_quotient(gens, forms, d: int) -> tuple[IntMatrix, list[Vec]]:
     lineality: list[Vec] = []
     lin_basis = rational_kernel_basis([section.transpose().apply(f) for f in forms], k)
     if lin_basis:
-        _, _, u_inv = _lineality_coordinates(rational_kernel_basis(lin_basis, k), k)
+        _, u_inv = _lineality_coordinates(rational_kernel_basis(lin_basis, k), k)
         for j in range(len(lin_basis)):
             e = section.apply(u_inv.col(j))
             lineality += [e, tuple(-x for x in e)]
@@ -372,13 +375,9 @@ def _hilbert_by_completion(forms, d: int, level: Vec | None) -> list[Vec]:
     """
     if d == 0:
         return []
-    order = [] if level is None else [primitive(level)]
+    head = () if level is None else (level,)
+    order = list(RationalCone(head + tuple(forms), d).generators)
     top = None if level is None else 1 // gcd(*level)
-    seen = set(order)
-    for f in map(primitive, forms):
-        if any(f) and f not in seen:
-            seen.add(f)
-            order.append(f)
     _, _, basis = _gauss_jordan(list(zip(*order)), len(order))
     fixed = 0 if level is None else 1
     while True:
@@ -480,13 +479,12 @@ def _undominated(values, length: int) -> list[Vec]:
     return kept
 
 
-def _lineality_coordinates(rows, d: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _lineality_coordinates(rows, d: int) -> tuple[IntMatrix, IntMatrix]:
     """The saturated lattice ``{x : <row, x> = 0 for every row}`` as the
-    columns of ``lin``, and unimodular ``(u, u_inv)`` moving it onto the
-    first ``lin.cols`` coordinates."""
+    columns of ``lin``, and a unimodular ``u_inv`` whose first ``lin.cols``
+    columns are a basis of it."""
     lin = integer_kernel(IntMatrix.from_rows(rows, d))
-    u, u_inv = unimodular_completion(lin)
-    return lin, u, u_inv
+    return lin, unimodular_completion(lin)[1]
 
 
 def split_lineality(poly: Polyhedron) -> tuple[Polyhedron, IntMatrix, IntMatrix]:
@@ -501,7 +499,7 @@ def split_lineality(poly: Polyhedron) -> tuple[Polyhedron, IntMatrix, IntMatrix]
     ``dim x q`` basis of the lineality lattice.
     """
     d = poly.dim
-    lin, _, inverse = _lineality_coordinates([a for a, _ in poly.rows], d)
+    lin, inverse = _lineality_coordinates([a for a, _ in poly.rows], d)
     q = lin.cols
     inverse_t = inverse.transpose()
     rows = []
@@ -513,21 +511,21 @@ def split_lineality(poly: Polyhedron) -> tuple[Polyhedron, IntMatrix, IntMatrix]
     return Polyhedron(tuple(rows), d - q), inverse.submatrix(range(d), range(q, d)), lin
 
 
-def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
-    """Hilbert basis of a pointed, full-dimensional cone.
+def _hilbert_pointed(cone: RationalCone, forms) -> list[Vec]:
+    """Hilbert basis of a pointed, full-dimensional cone with facet normals
+    ``forms``.
 
     One pulling triangulation covers the cone, so every irreducible element
     is a generator or a nonzero point of the half-open parallelepiped of a
     simplex (Bruns-Gubeladze 2009, 2.C), listed as an orbit of the group
     ``Z^d / G Z^d`` of the simplex matrix ``G`` by
-    :func:`_parallelepiped_points` (Bruns-Ichim 2010).  A greedy pass
-    ordered by a functional positive on the cone removes the reducible ones.
+    :func:`_parallelepiped_points` (Bruns-Ichim 2010).  :func:`_undominated`
+    removes the reducible ones.
     """
     gens = cone.generators
     d = cone.dim
-    dual = dual_cone(cone).generators
     # faces are generator bitmasks; a face's facets are its maximal proper face & mask
-    facets = [sum(1 << j for j, g in enumerate(gens) if dot(u, g) == 0) for u in dual]
+    facets = [sum(1 << j for j, g in enumerate(gens) if dot(u, g) == 0) for u in forms]
     memo: dict[int, list[list[int]]] = {0: [[]]}
 
     def pulling(face: int) -> list[list[int]]:
@@ -548,17 +546,11 @@ def _hilbert_pointed(cone: RationalCone) -> list[Vec]:
         candidates.update(
             _parallelepiped_points(IntMatrix.from_columns([gens[j] for j in simplex], d))
         )
-    # v reduces by a kept w iff v - w is in the cone, i.e. iff w's values on
-    # the dual rays are at most v's; the dual spans, so values separate points
-    values = {v: tuple(sum(map(mul, u, v)) for u in dual) for v in candidates}
-    kept: list[Vec] = []
-    kept_values: list[Vec] = []
-    for v in sorted(candidates, key=lambda v: (sum(values[v]), v)):
-        fv = values[v]
-        if not any(all(map(le, fw, fv)) for fw in kept_values):
-            kept.append(v)
-            kept_values.append(fv)
-    return kept
+    # v reduces by w iff v - w is in the cone, i.e. iff w's values on the
+    # forms are at most v's; the forms span, so values separate points
+    m = len(forms)
+    values = [tuple(sum(map(mul, u, v)) for u in forms) + v for v in candidates]
+    return [v[m:] for v in _undominated(values, m)]
 
 
 def _parallelepiped_points(mat: IntMatrix) -> list[Vec]:
@@ -692,33 +684,21 @@ def polytope_part(poly: Polyhedron) -> tuple[tuple[Vec, ...], HilbertBasis]:
 def support_hull_rows(points, generators, normals, dim: int) -> Polyhedron:
     """An exact outer bound on ``conv(points) + zonotope(generators)``.
 
-    For each normal ``c`` (the set is symmetrized) the row states
-    ``<c, x> >= min_points <c, q> + sum_g min(0, <c, g>)`` — the exact
-    support value of the sum, so the region contains it and is tight in
-    every supplied direction.  Standard axis directions are always included,
-    making the region bounded.
+    For each primitive direction ``c`` among the unit vectors and the
+    normals, and its negative, the row states ``<c, x> >= min_points <c, q>
+    + sum_g min(0, <c, g>)`` — the exact support value of the sum, so the
+    region contains it and is tight in every supplied direction.  The unit
+    vectors make the region bounded.
     """
     pts = [tuple(q) for q in points]
     if not pts:
         raise EmptyPolyhedron("support hull of no points")
     gens = [tuple(g) for g in generators]
-    pool: set[Vec] = set()
-    for j in range(dim):
-        pool.add(tuple(1 if i == j else 0 for i in range(dim)))
-    for c in normals:
-        c = primitive(tuple(c))
-        if not any(c):
-            continue
-        for x in c:
-            if x:
-                if x < 0:
-                    c = tuple(-y for y in c)
-                break
-        pool.add(c)
-    rows = []
-    for c in sorted(pool):
-        for cc in (c, tuple(-x for x in c)):
-            lo = min(dot(cc, q) for q in pts)
-            lo += sum(min(0, dot(cc, g)) for g in gens)
-            rows.append((cc, lo))
+    pool = {primitive(tuple(c)) for c in normals}
+    pool.update(tuple(int(i == j) for i in range(dim)) for j in range(dim))
+    pool.update([tuple(-x for x in c) for c in pool])
+    rows = [
+        (c, min(dot(c, q) for q in pts) + sum(min(0, dot(c, g)) for g in gens))
+        for c in sorted(pool) if any(c)
+    ]
     return Polyhedron(tuple(rows), dim)

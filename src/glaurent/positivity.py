@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, Vec, _gauss_jordan, rational_rank
+from .exactmat import IntMatrix, Vec, _gauss_jordan, int_vector, rational_rank
 from .grading import ActionSpec, associated_vectors
 from .polycone import (
     RationalCone,
@@ -160,9 +160,10 @@ def flip_matrix(spec: ActionSpec, indices) -> ActionSpec:
     """The action with the weight columns at ``indices`` negated.
 
     Only polynomial columns may be flipped: negating such a column matches
-    replacing the variable's weight by its inverse character.
+    replacing the variable's weight by its inverse character.  Every index
+    must be an ``int`` (else :class:`TypeError`).
     """
-    chosen = set(indices)
+    chosen = set(int_vector(indices))
     for i in chosen:
         if not 0 <= i < spec.r:
             raise ValueError(f"column {i} is not a polynomial column")

@@ -16,7 +16,10 @@ and :func:`reference_span_hilbert_basis` restricts a cone to its span by
 one integer solve per generator, as ``hilbert_basis`` did before one Smith
 normal form; :func:`reference_rays_in_halfspace` grows the greedy basis of
 ``rays_in_halfspace`` by one rank test per vector, as it did before one
-elimination's pivot columns picked it; all are kept for differential tests.
+elimination's pivot columns picked it; :func:`reference_support_hull_rows`
+writes ``support_hull_rows`` as a sign-normalized pool with both signs added
+back per direction, as before one pool closed under negation; all are kept
+for differential tests.
 The helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -519,6 +522,34 @@ def reference_rays_in_halfspace(vectors, dim: int):
             rest.append(v)
     seed = dual_basis_vectors(base, dim)[0]
     return is_in_halfspace_extend(rest, RationalCone(tuple(base), dim), seed)
+
+
+def reference_support_hull_rows(points, generators, normals, dim: int) -> Polyhedron:
+    """``support_hull_rows`` with each direction turned to a positive first
+    nonzero entry and both signs written per pooled direction, as before one
+    pool closed under negation."""
+    pts = [tuple(q) for q in points]
+    gens = [tuple(g) for g in generators]
+    pool: set[tuple[int, ...]] = set()
+    for j in range(dim):
+        pool.add(tuple(1 if i == j else 0 for i in range(dim)))
+    for c in normals:
+        c = primitive(tuple(c))
+        if not any(c):
+            continue
+        for x in c:
+            if x:
+                if x < 0:
+                    c = tuple(-y for y in c)
+                break
+        pool.add(c)
+    rows = []
+    for c in sorted(pool):
+        for cc in (c, tuple(-x for x in c)):
+            lo = min(dot(cc, q) for q in pts)
+            lo += sum(min(0, dot(cc, g)) for g in gens)
+            rows.append((cc, lo))
+    return Polyhedron(tuple(rows), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ class TestExitCodes:
         code, _, err = run_cli(["kernel", str(DATA / "not_json.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"p": 1, "r": 2, "s": 0, "L": [[1, 1]], "name": "\xff"}',
+         b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_past_recursion_limit"],
+    )
+    def test_undecodable_document_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["kernel", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid instance document: ")
+        assert len(err.splitlines()) == 1
+
     def test_wrong_matrix_dimensions(self):
         code, _, err = run_cli(["kernel", str(DATA / "bad_dims.json")])
         assert code == 2

@@ -13,6 +13,7 @@ from helpers import (
     reference_parallelepiped_points,
     reference_rays_in_halfspace,
     reference_span_hilbert_basis,
+    reference_support_hull_rows,
 )
 from oracle import dual_cone_by_subsets, hilbert_basis_by_subsets, nonneg_combination_checker
 
@@ -46,6 +47,17 @@ class TestRationalCone:
     def test_generators_normalized(self):
         c = RationalCone(((2, 4), (0, 0), (1, 2)), 2)
         assert c.generators == ((1, 2),)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", Fraction(1)])
+    def test_entries_must_be_int(self, bad):
+        with pytest.raises(TypeError, match="expected an integer"):
+            RationalCone(((bad, 0), (0, 1)), 2)
+
+    @pytest.mark.parametrize("gens", [((1, 0, 0),), ((1,),), ((1, 0), ())])
+    def test_wrong_length_is_dimension_mismatch(self, gens):
+        with pytest.raises(DimensionMismatch):
+            RationalCone(gens, 2)
+        assert issubclass(DimensionMismatch, ValueError)
 
     def test_contains(self):
         c = RationalCone(((1, 0), (1, 2)), 2)
@@ -293,7 +305,8 @@ def reference_hilbert_basis(cones, monkeypatch) -> list[tuple]:
     the triangulation, through the same lineality and span reductions."""
     hilbert_basis.cache_clear()
     with monkeypatch.context() as m:
-        m.setattr(polycone, "_hilbert_pointed", hilbert_basis_by_subsets)
+        m.setattr(polycone, "_hilbert_pointed",
+                  lambda cone, forms: hilbert_basis_by_subsets(cone))
         out = [hilbert_basis(c).elements for c in cones]
     hilbert_basis.cache_clear()
     return out
@@ -389,6 +402,28 @@ class TestHilbertBasisDifferential:
             lineal += bool(rational_kernel_basis(dual_cone(cone).generators, d))
             assert hilbert_basis(cone).elements == reference_span_hilbert_basis(cone), cone
         assert lineal >= 600, lineal
+
+    def test_one_dual_cone_pass(self, monkeypatch):
+        # the triangulation reads the quotient's facets off the cone's own
+        # dual: one double-description pass per cone, none for its quotient
+        calls = []
+        original = polycone.dual_cone
+
+        def counted(cone):
+            calls.append(cone)
+            return original(cone)
+
+        monkeypatch.setattr(polycone, "dual_cone", counted)
+        rng = random.Random(2500)
+        for d in (2, 3, 4):
+            cone = random_pointed_cone(rng, d, 0, 2)
+            w = tuple(rng.randint(-2, 2) for _ in range(d))
+            for c in (cone, RationalCone(cone.generators + (w, tuple(-x for x in w)), d)):
+                hilbert_basis.cache_clear()
+                original.cache_clear()
+                calls.clear()
+                hilbert_basis(c)
+                assert calls == [c]
 
     @pytest.mark.parametrize(
         "gens, dim, expected",
@@ -617,6 +652,33 @@ class TestPolytopePart:
         core, rec = polytope_part(Polyhedron(rows, dim))
         assert core == ()
         assert rec.elements == level0
+
+    def test_support_hull_rows_match_sign_normalized_pool(self):
+        # 600 seeded inputs in dimensions 1-4, with zero, repeated, negated
+        # and non-primitive normals: the same rows as a set, so the same region
+        rng = random.Random(2600)
+        zero = repeated = 0
+        for _ in range(600):
+            d = rng.randint(1, 4)
+
+            def vectors(count, span):
+                return [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(count)]
+
+            points = vectors(rng.randint(1, 4), 3)
+            gens = vectors(rng.randint(0, 3), 2)
+            normals = vectors(rng.randint(0, 5), 2)
+            if rng.random() < 0.3:
+                normals.append((0,) * d)
+            if normals and rng.random() < 0.5:
+                a = rng.choice(normals)
+                normals.append(tuple(rng.choice((-2, -1, 1, 2)) * x for x in a))
+            zero += (0,) * d in normals
+            repeated += len({primitive(a) for a in normals if any(a)}) < sum(map(any, normals))
+            new = support_hull_rows(points, gens, normals, d)
+            old = reference_support_hull_rows(points, gens, normals, d)
+            assert set(new.rows) == set(old.rows), (points, gens, normals)
+            assert len(new.rows) == len(set(new.rows))
+        assert zero >= 100 and repeated >= 100, (zero, repeated)
 
     def test_support_hull_contains_core(self):
         # polyhedra are intersected by concatenating their rows

@@ -187,6 +187,12 @@ class TestCertificates:
         flipped = flip_matrix(spec, (1,))
         assert flipped.weights.rows == ((1, 2, 3),)
 
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_flip_matrix_indices_must_be_int(self, index):
+        spec = spec_of(3, 0, 1, (), [(1, -2, 3)])
+        with pytest.raises(TypeError, match="expected an integer"):
+            flip_matrix(spec, [index])
+
 
 def laurent_free_spec(rng):
     """A faithful action whose one Laurent column is zero on the free rows
