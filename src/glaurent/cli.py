@@ -28,6 +28,7 @@ from .components import (
 )
 from .exactmat import DimensionMismatch, IntMatrix, int_vector
 from .grading import (
+    SEARCH_BOUND,
     ActionSpec,
     DegreeVector,
     InvalidTorsion,
@@ -204,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("component")
     comp.add_argument("file")
     comp.add_argument("--degree", required=True, help="comma-separated degree entries")
-    comp.add_argument("--bound", type=_bound, default=10, help="representative search bound")
+    comp.add_argument("--bound", type=_bound, default=SEARCH_BOUND, help="representative search bound")
     comp.add_argument("--json", action="store_true", dest="as_json")
     return parser
 

@@ -17,6 +17,7 @@ from math import inf
 
 from .exactmat import Vec, reduce_mod_lattice, vadd
 from .grading import (
+    SEARCH_BOUND,
     ActionSpec,
     DegreeVector,
     Monomial,
@@ -96,7 +97,7 @@ def s0_generators(spec: ActionSpec) -> tuple[Monomial, ...]:
 def component(
     spec: ActionSpec,
     a: DegreeVector,
-    search_bound: int = 10,
+    search_bound: int = SEARCH_BOUND,
 ) -> ComponentDescription:
     """Describe the graded component of degree ``a``.
 
@@ -147,7 +148,7 @@ def component(
 
 
 def component_dimension(
-    spec: ActionSpec, a: DegreeVector, search_bound: int = 10
+    spec: ActionSpec, a: DegreeVector, search_bound: int = SEARCH_BOUND
 ):
     """Dimension of the component: an integer or :data:`INFINITE`.
 

@@ -3,7 +3,9 @@
 Everything here is deterministic and exact: integer matrices are immutable
 tuples-of-tuples, all arithmetic is on ``int``, and neither fractions nor
 floating point ever appear.  The centrepiece is :func:`smith_normal_form`,
-which drives integer kernels, integer linear solving and lattice completion.
+which drives integer kernels, integer linear solving and lattice completion;
+it eliminates on one working matrix that carries both unimodular transforms,
+as :func:`det_and_scaled_inverse` carries its adjugate in ``[a | I]``.
 One fraction-free Gauss-Jordan elimination gives everything else:
 determinants and adjugates, rational ranks and kernels, and the pivot
 columns that pick a basis among given vectors.
@@ -102,49 +104,32 @@ class IntMatrix:
         )
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _add_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    if factor:
-        row_s = m[src]
-        row_d = m[dst]
-        for k in range(len(row_d)):
-            row_d[k] += factor * row_s[k]
-
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    if factor:
-        for row in m:
-            row[dst] += factor * row[src]
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``(u, s, v)`` with ``u @ a @ v == s`` diagonal.
 
     The diagonal of ``s`` is nonnegative and each entry divides the next.
     Pivots are chosen as the smallest-magnitude nonzero entry of the working
     submatrix (ties broken by lowest row, then column), which keeps
-    intermediate entries small without any randomness.
+    intermediate entries small without any randomness.  The elimination runs
+    on one working matrix ``[[a, I_m], [I_n, 0]]``: a row operation on its
+    first ``m`` rows acts on ``s`` and ``u`` at once, a column operation on
+    its first ``n`` columns on ``s`` and ``v``, and the three are its blocks.
     """
     m, n = a.nrows, a.cols
-    s = [list(row) for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [[*row, *[0] * m] for row in a.rows] + [[0] * (n + m) for _ in range(n)]
+    for i in range(m):
+        w[i][n + i] = 1
+    for j in range(n):
+        w[m + j][j] = 1
 
     t = 0
     while t < min(m, n):
         # locate pivot: min |entry|, ties at lowest (row, col)
         best = None
         for i in range(t, m):
+            row = w[i]
             for j in range(t, n):
-                x = s[i][j]
+                x = row[j]
                 if x:
                     key = (abs(x), i, j)
                     if best is None or key < best:
@@ -152,64 +137,48 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if best is None:
             break
         _, pi, pj = best
-        if pi != t:
-            _swap_rows(s, t, pi)
-            _swap_rows(u, t, pi)
-        if pj != t:
-            _swap_cols(s, t, pj)
-            _swap_cols(v, t, pj)
+        w[t], w[pi] = w[pi], w[t]
+        for row in w:
+            row[t], row[pj] = row[pj], row[t]
 
         while True:
             for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    _add_row(s, i, t, -q)
-                    _add_row(u, i, t, -q)
-            rem = [i for i in range(t + 1, m) if s[i][t]]
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+            rem = [i for i in range(t + 1, m) if w[i][t]]
             if rem:
-                i = min(rem, key=lambda k: (abs(s[k][t]), k))
-                _swap_rows(s, t, i)
-                _swap_rows(u, t, i)
+                i = min(rem, key=lambda k: (abs(w[k][t]), k))
+                w[t], w[i] = w[i], w[t]
                 continue
             for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    _add_col(s, j, t, -q)
-                    _add_col(v, j, t, -q)
-            rem = [j for j in range(t + 1, n) if s[t][j]]
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+            rem = [j for j in range(t + 1, n) if w[t][j]]
             if rem:
-                j = min(rem, key=lambda k: (abs(s[t][k]), k))
-                _swap_cols(s, t, j)
-                _swap_cols(v, t, j)
+                j = min(rem, key=lambda k: (abs(w[t][k]), k))
+                for row in w:
+                    row[t], row[j] = row[j], row[t]
                 continue
             # row and column are clear; enforce divisibility of the rest
-            d = s[t][t]
-            witness = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % d:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            d = w[t][t]
+            witness = next((i for i in range(t + 1, m) for x in w[i][t + 1 : n] if x % d), None)
             if witness is None:
                 break
             # pull the offending row up so the pivot step can shrink d
-            _add_row(s, t, witness, 1)
-            _add_row(u, t, witness, 1)
+            w[t] = [x + y for x, y in zip(w[t], w[witness])]
         t += 1
 
     for i in range(min(m, n)):
-        if s[i][i] < 0:
-            for k in range(n):
-                s[i][k] = -s[i][k]
-            for k in range(m):
-                u[i][k] = -u[i][k]
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
     return (
-        IntMatrix.from_rows(u, m),
-        IntMatrix.from_rows(s, n),
-        IntMatrix.from_rows(v, n),
+        IntMatrix.from_rows([row[n:] for row in w[:m]], m),
+        IntMatrix.from_rows([row[:n] for row in w[:m]], n),
+        IntMatrix.from_rows([row[:n] for row in w[m:]], n),
     )
 
 
@@ -235,7 +204,7 @@ def _gauss_jordan(m: list[Sequence[int]], ncols: int) -> tuple[int, int, list[in
         if piv is None:
             continue
         if piv != k:
-            _swap_rows(m, k, piv)
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
         row_k = m[k]
         pk = row_k[col]

@@ -28,6 +28,9 @@ from .exactmat import (
 )
 from .polycone import Polyhedron, lattice_points
 
+#: Default half-width of the representative search box.
+SEARCH_BOUND = 10
+
 
 class InvalidTorsion(ValueError):
     """A torsion order that is not an integer >= 2."""
@@ -232,7 +235,7 @@ def build_polytope(kd: KernelData, phi: Vec) -> Polyhedron:
 
 
 def find_representative(
-    spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = 10
+    spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = SEARCH_BOUND
 ) -> Vec:
     """Exponent vector of a monomial of degree ``a``, or raise.
 

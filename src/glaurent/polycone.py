@@ -42,21 +42,32 @@ class Unbounded(ValueError):
     """Lattice-point enumeration met an unbounded coordinate range."""
 
 
+def _check_dim(dim) -> None:
+    """Refuse an ambient dimension that is not an ``int`` (:class:`TypeError`)
+    or is negative (:class:`DimensionMismatch`)."""
+    (dim,) = int_vector((dim,))
+    if dim < 0:
+        raise DimensionMismatch(f"negative dimension {dim}")
+
+
 @dataclass(frozen=True)
 class RationalCone:
     """A rational polyhedral cone, stored by integer generators.
 
     Generators are normalized on construction: zero vectors are dropped,
     every generator is made primitive, and duplicates are removed keeping
-    the first occurrence.  ``dim`` is the ambient dimension.  Every
-    generator must have length ``dim`` (else :class:`DimensionMismatch`)
-    and ``int`` entries (else :class:`TypeError`).
+    the first occurrence.  ``dim`` is the ambient dimension, an ``int``
+    (else :class:`TypeError`) and at least 0 (else
+    :class:`DimensionMismatch`).  Every generator must have length ``dim``
+    (else :class:`DimensionMismatch`) and ``int`` entries (else
+    :class:`TypeError`).
     """
 
     generators: tuple[Vec, ...]
     dim: int
 
     def __post_init__(self) -> None:
+        _check_dim(self.dim)
         seen: dict[Vec, None] = {}
         for g in map(int_vector, self.generators):
             if len(g) != self.dim:
@@ -83,15 +94,16 @@ class HilbertBasis:
 class Polyhedron:
     """Integer inequality rows ``(a, c)`` meaning ``<a, u> >= c``.
 
-    Every normal ``a`` must have length ``dim`` (else
-    :class:`DimensionMismatch`) and every entry and right-hand side must be
-    an ``int`` (else :class:`TypeError`).
+    ``dim`` follows the rule of :class:`RationalCone`.  Every normal ``a``
+    must have length ``dim`` (else :class:`DimensionMismatch`) and every
+    entry and right-hand side must be an ``int`` (else :class:`TypeError`).
     """
 
     rows: tuple[tuple[Vec, int], ...]
     dim: int
 
     def __post_init__(self) -> None:
+        _check_dim(self.dim)
         rows = []
         for a, c in self.rows:
             row = int_vector((*a, c))
@@ -169,10 +181,7 @@ def dual_cone(cone: RationalCone) -> RationalCone:
             primitive(tuple(sum(yi * b[t] for yi, b in zip(y, basis)) for t in range(d)))
             for y, _ in current
         ]
-    generators = sorted(rays)
-    for w in lineality:
-        generators.append(w)
-        generators.append(tuple(-x for x in w))
+    generators = rays + lineality + [tuple(-x for x in w) for w in lineality]
     return RationalCone(tuple(sorted(generators)), d)
 
 
@@ -591,18 +600,16 @@ def is_in_halfspace_extend(vectors, cone: RationalCone, normal: Vec) -> Vec | No
     """Grow a half-space certificate over ``vectors``, or refute one.
 
     Requires ``cone`` to be full-dimensional and contained in the half-space
-    of ``normal``.  Processes the vectors in order; each accepted vector is
-    added to the cone.  Returns a normal ``u`` with ``<u, .> >= 0`` on the
+    of ``normal``.  Processes the vectors in order, normalized as the
+    generators of a :class:`RationalCone`; each accepted vector is added to
+    the cone.  Returns a normal ``u`` with ``<u, .> >= 0`` on the
     final cone, or ``None`` as soon as no containing half-space can exist.
     """
     if rational_rank(cone.generators) < cone.dim:
         raise ValueError("seed cone must be full-dimensional")
     current = list(cone.generators)
     u = normal
-    for w in vectors:
-        w = primitive(tuple(w))
-        if not any(w):
-            continue
+    for w in RationalCone(tuple(vectors), cone.dim).generators:
         if dot(u, w) >= 0:
             current.append(w)
             continue
@@ -626,8 +633,7 @@ def rays_in_halfspace(vectors, dim: int) -> Vec | None:
     """
     if dim == 0:
         return None
-    cleaned = [primitive(tuple(v)) for v in vectors]
-    cleaned = [v for v in cleaned if any(v)]
+    cleaned = RationalCone(tuple(vectors), dim).generators
     # the pivot columns of the vectors as columns are the greedy basis
     _, _, pivots = _gauss_jordan(list(zip(*cleaned)), len(cleaned))
     if len(pivots) < dim:

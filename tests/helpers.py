@@ -18,8 +18,10 @@ normal form; :func:`reference_rays_in_halfspace` grows the greedy basis of
 ``rays_in_halfspace`` by one rank test per vector, as it did before one
 elimination's pivot columns picked it; :func:`reference_support_hull_rows`
 writes ``support_hull_rows`` as a sign-normalized pool with both signs added
-back per direction, as before one pool closed under negation; all are kept
-for differential tests.
+back per direction, as before one pool closed under negation;
+:func:`reference_smith_normal_form` writes each Smith normal form operation
+once on ``s`` and once more on ``u`` or ``v``, as before one working matrix
+carried all three; all are kept for differential tests.
 The helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -550,6 +552,121 @@ def reference_support_hull_rows(points, generators, normals, dim: int) -> Polyhe
             lo += sum(min(0, dot(cc, g)) for g in gens)
             rows.append((cc, lo))
     return Polyhedron(tuple(rows), dim)
+
+
+# ---------------------------------------------------------------------------
+# reference Smith normal form: each operation mirrored on u or v by hand
+
+
+def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
+    m[i], m[j] = m[j], m[i]
+
+
+def _add_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
+    if factor:
+        row_s = m[src]
+        row_d = m[dst]
+        for k in range(len(row_d)):
+            row_d[k] += factor * row_s[k]
+
+
+def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_col(m: list[list[int]], dst: int, src: int, factor: int) -> None:
+    if factor:
+        for row in m:
+            row[dst] += factor * row[src]
+
+
+def reference_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular ``(u, s, v)`` with ``u @ a @ v == s`` diagonal.
+
+    The diagonal of ``s`` is nonnegative and each entry divides the next.
+    Pivots are chosen as the smallest-magnitude nonzero entry of the working
+    submatrix (ties broken by lowest row, then column), which keeps
+    intermediate entries small without any randomness.
+    """
+    m, n = a.nrows, a.cols
+    s = [list(row) for row in a.rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    t = 0
+    while t < min(m, n):
+        # locate pivot: min |entry|, ties at lowest (row, col)
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = s[i][j]
+                if x:
+                    key = (abs(x), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            _swap_rows(s, t, pi)
+            _swap_rows(u, t, pi)
+        if pj != t:
+            _swap_cols(s, t, pj)
+            _swap_cols(v, t, pj)
+
+        while True:
+            for i in range(t + 1, m):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    _add_row(s, i, t, -q)
+                    _add_row(u, i, t, -q)
+            rem = [i for i in range(t + 1, m) if s[i][t]]
+            if rem:
+                i = min(rem, key=lambda k: (abs(s[k][t]), k))
+                _swap_rows(s, t, i)
+                _swap_rows(u, t, i)
+                continue
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    _add_col(s, j, t, -q)
+                    _add_col(v, j, t, -q)
+            rem = [j for j in range(t + 1, n) if s[t][j]]
+            if rem:
+                j = min(rem, key=lambda k: (abs(s[t][k]), k))
+                _swap_cols(s, t, j)
+                _swap_cols(v, t, j)
+                continue
+            # row and column are clear; enforce divisibility of the rest
+            d = s[t][t]
+            witness = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if s[i][j] % d:
+                        witness = i
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            # pull the offending row up so the pivot step can shrink d
+            _add_row(s, t, witness, 1)
+            _add_row(u, t, witness, 1)
+        t += 1
+
+    for i in range(min(m, n)):
+        if s[i][i] < 0:
+            for k in range(n):
+                s[i][k] = -s[i][k]
+            for k in range(m):
+                u[i][k] = -u[i][k]
+
+    return (
+        IntMatrix.from_rows(u, m),
+        IntMatrix.from_rows(s, n),
+        IntMatrix.from_rows(v, n),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI tests: golden files, exit codes, and byte-for-byte determinism."""
 
+import inspect
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from glaurent.cli import load_instance, main
+from glaurent import components, grading
+from glaurent.cli import _PARSER, load_instance, main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -174,6 +176,17 @@ class TestExitCodes:
         )
         assert code == 4
         assert "component is zero" in out
+
+    def test_default_bound_is_the_library_default(self):
+        # the CLI, find_representative, component and component_dimension
+        # all read grading.SEARCH_BOUND
+        assert grading.SEARCH_BOUND == 10
+        args = _PARSER.parse_args(["component", "f.json", "--degree", "1"])
+        assert args.bound == grading.SEARCH_BOUND
+        for f in (grading.find_representative, components.component,
+                  components.component_dimension):
+            default = inspect.signature(f).parameters["search_bound"].default
+            assert default == grading.SEARCH_BOUND
 
     def test_bound_flag_respected(self):
         code, out, _ = run_cli(

@@ -17,6 +17,8 @@ from helpers import (
     fraction_reduce_mod_lattice,
     fraction_rref,
     identity,
+    random_spec,
+    reference_smith_normal_form,
     vscale,
     vsub,
 )
@@ -40,6 +42,7 @@ from glaurent.exactmat import (
     unimodular_completion,
     vadd,
 )
+from glaurent.grading import _stacked_matrix
 
 
 def snf_checked(a: IntMatrix):
@@ -224,6 +227,55 @@ class TestSmithNormalForm:
         *_, diag = snf_checked(IntMatrix.from_rows(rows, n))
         factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         assert [x for x in diag if x] == [int(f) for f in factors if f]
+
+
+def random_snf_input(rng) -> IntMatrix:
+    """A random matrix of shape 0-6 x 0-7: dense, sparse, of low rank, or
+    with whole rows and columns set to zero."""
+    m, n = rng.randint(0, 6), rng.randint(0, 7)
+    kind = rng.choice(["dense", "sparse", "low rank", "zero lines"])
+    if kind == "low rank":
+        k = rng.randint(0, max(0, min(m, n) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k
+                else [0] * n for row in left]
+    else:
+        density = 0.25 if kind == "sparse" else 1.0
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        if kind == "zero lines":
+            dead_rows = set(rng.sample(range(m), rng.randint(0, m)))
+            dead_cols = set(rng.sample(range(n), rng.randint(0, n)))
+            rows = [[0 if i in dead_rows or j in dead_cols else x for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+    return IntMatrix.from_rows(rows, n)
+
+
+class TestSmithNormalFormDifferential:
+    """One working matrix ``[[a, I], [I, 0]]`` against the elimination that
+    mirrored each operation on ``u`` or ``v`` by hand: the same pivots and
+    operations, so the same ``(u, s, v)``."""
+
+    def test_matches_mirrored_elimination(self):
+        rng = random.Random(2121)
+        shapes = set()
+        for _ in range(20000):
+            a = random_snf_input(rng)
+            assert smith_normal_form(a) == reference_smith_normal_form(a), a
+            shapes.add((a.nrows, a.cols))
+        assert len(shapes) == 7 * 8
+
+    def test_matches_on_stacked_matrices_with_torsion(self):
+        rng = random.Random(2122)
+        specs = 0
+        while specs < 1000:
+            spec = random_spec(rng, max_n=6, max_p=2, max_t=2, min_r=0)
+            if not spec.t:
+                continue
+            specs += 1
+            a = _stacked_matrix(spec)
+            assert smith_normal_form(a) == reference_smith_normal_form(a), spec
 
 
 class TestKernelAndSolve:

@@ -59,6 +59,18 @@ class TestRationalCone:
             RationalCone(gens, 2)
         assert issubclass(DimensionMismatch, ValueError)
 
+    @pytest.mark.parametrize("cls", [RationalCone, Polyhedron])
+    @pytest.mark.parametrize("dim", [2.0, True, "2", Fraction(2)])
+    def test_dim_must_be_int(self, cls, dim):
+        with pytest.raises(TypeError, match="expected an integer"):
+            cls((), dim)
+
+    @pytest.mark.parametrize("cls", [RationalCone, Polyhedron])
+    def test_negative_dim_is_dimension_mismatch(self, cls):
+        with pytest.raises(DimensionMismatch, match="negative dimension -1"):
+            cls((), -1)
+        assert cls((), 0).dim == 0
+
     def test_contains(self):
         c = RationalCone(((1, 0), (1, 2)), 2)
         assert cone_contains(c, (2, 1))
@@ -711,6 +723,14 @@ class TestHalfspace:
     def test_one_dim(self):
         assert rays_in_halfspace([(1,), (-1,)], 1) is None
         assert rays_in_halfspace([(1,)], 1) is not None
+
+    @pytest.mark.parametrize("vectors", [[(1,), (0, 1)], [(1, 0, 5), (0, 1)]])
+    def test_wrong_length_is_dimension_mismatch(self, vectors):
+        with pytest.raises(DimensionMismatch):
+            rays_in_halfspace(vectors, 2)
+        seed = RationalCone(((1, 0), (0, 1)), 2)
+        with pytest.raises(DimensionMismatch):
+            is_in_halfspace_extend(vectors, seed, (1, 1))
 
     def test_matches_rank_test_per_vector(self):
         # the pivot columns of one elimination against the old greedy loop
