@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .exactmat import Vec, reduce_mod_lattice, vadd
+from .exactmat import Vec, lattice_reducer
 from .grading import (
     SEARCH_BOUND,
     ActionSpec,
@@ -31,6 +31,7 @@ from .polycone import (
     RationalCone,
     Unbounded,
     dual_hilbert_basis,
+    lattice_images,
     lattice_points,
     polytope_part,
     split_lineality,
@@ -105,11 +106,14 @@ def component(
     :class:`NotInQ`), then returns a :class:`FiniteBasis` when the component
     is finite dimensional and :class:`ModuleGenerators` otherwise.
 
-    The module generators are the lattice points of the polyhedron with its
-    lineality (the degree-zero units) split off, if that quotient is
-    bounded.  Otherwise they are cut from a region around the lattice core
-    of :func:`polytope_part` plus the zonotope of the recession Hilbert
-    basis, clipped to the quotient; the core alone is the minimal set.
+    Every exponent vector ``phi + K u`` is built by :func:`lattice_images`
+    as it enumerates the points ``u``.  The module generators come from the
+    lattice points of the polyhedron with its lineality (the degree-zero
+    units) split off, if that quotient is bounded.  Otherwise they are cut
+    from a region around the lattice core of :func:`polytope_part` plus the
+    zonotope of the recession Hilbert basis, clipped to the quotient; the
+    core alone is the minimal set.  Either set is lifted through a section
+    and reduced modulo the units, if any, with one Gram factorization.
     """
     kd = associated_vectors(spec)
     try:
@@ -118,32 +122,29 @@ def component(
         return ComponentDescription(a, None, NotInQ(exc.bound, exc.conclusive))
     poly = build_polytope(kd, phi)
     try:
-        points = lattice_points(poly)
+        exponents = lattice_images(poly, kd.basis.transpose().rows, phi)
     except Unbounded:
         pass
     else:
         # sorting the exponent tuples before wrapping them spares a Python
         # level Monomial.__lt__ call per comparison; the order is the same
-        exponents = sorted((vadd(phi, kd.basis.apply(u)) for u in points), reverse=True)
+        exponents.sort(reverse=True)
         return ComponentDescription(a, phi, FiniteBasis(tuple(map(Monomial, exponents))))
     quotient, section, lin = split_lineality(poly)
+    # the lift through the zero section is injective: only units merge images
+    lift = (kd.basis @ section).transpose().rows
     try:
-        points = lattice_points(quotient)
+        exponents = lattice_images(quotient, lift, phi)
     except Unbounded:
         core, recession_hb = polytope_part(quotient)
         normals = [row for row, _ in quotient.rows]
-        region = support_hull_rows(core, recession_hb.elements, normals, quotient.dim)
-        points = lattice_points(Polyhedron(quotient.rows + region.rows, quotient.dim))
-    # lift through the zero section, then reduce each exponent vector
-    # modulo the unit lattice; the result depends only on the component,
-    # not on the representative
-    lift = kd.basis @ section
-    units = kd.basis @ lin
-    seen: set[Vec] = set()
-    for u_bar in points:
-        g = vadd(phi, lift.apply(u_bar))
-        seen.add(reduce_mod_lattice(units, g))
-    sa = tuple(map(Monomial, sorted(seen, reverse=True)))
+        hull = support_hull_rows(core, recession_hb.elements, normals, quotient.dim)
+        exponents = lattice_images(Polyhedron(quotient.rows + hull.rows, quotient.dim), lift, phi)
+    if lin.cols:
+        # reduce modulo the unit lattice, which leaves a result that depends
+        # only on the component, not on the representative
+        exponents = set(map(lattice_reducer(kd.basis @ lin), exponents))
+    sa = tuple(map(Monomial, sorted(exponents, reverse=True)))
     return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
 
 

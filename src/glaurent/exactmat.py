@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add, mul
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 Vec = tuple[int, ...]
 
@@ -331,9 +331,13 @@ def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
     would not, at exact half-integers).  Requires independent columns; a
     matrix with no columns leaves ``v`` unchanged.
     """
-    v = int_vector(v)
+    return lattice_reducer(basis)(v)
+
+
+def lattice_reducer(basis: IntMatrix) -> Callable[[Sequence[int]], Vec]:
+    """``v -> reduce_mod_lattice(basis, v)``, with one Gram factorization."""
     if basis.cols == 0:
-        return v
+        return int_vector
     cols = [basis.col(j) for j in range(basis.cols)]
     gram = IntMatrix.from_rows([tuple(dot(ci, cj) for cj in cols) for ci in cols], len(cols))
     try:
@@ -341,12 +345,14 @@ def reduce_mod_lattice(basis: IntMatrix, v: Sequence[int]) -> Vec:
         d, adj = det_and_scaled_inverse(gram)
     except SingularMatrix:
         raise SingularMatrix("lattice basis columns are dependent") from None
-    # floor(z + 1/2) for the exact solution z = adj @ rhs / d
-    shift = [(2 * x + d) // (2 * d) for x in adj.apply(tuple(dot(ci, v) for ci in cols))]
-    return tuple(
-        v[i] - sum(col[i] * x for col, x in zip(cols, shift))
-        for i in range(basis.nrows)
-    )
+
+    def reduce(v: Sequence[int]) -> Vec:
+        v = int_vector(v)
+        # floor(z + 1/2) for the exact solution z = adj @ rhs / d
+        shift = [(2 * x + d) // (2 * d) for x in adj.apply(tuple(dot(ci, v) for ci in cols))]
+        return tuple(x - sum(map(mul, row, shift)) for x, row in zip(v, basis.rows))
+
+    return reduce
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +376,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionMismatch("dot product of different lengths")
     return sum(map(mul, u, v))
-
-
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch("sum of vectors of different lengths")
-    return tuple(map(add, u, v))
 
 
 def primitive(v: Sequence[int]) -> Vec:

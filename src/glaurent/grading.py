@@ -5,14 +5,13 @@ groups on a mixed polynomial/Laurent ring is described by an integer weight
 matrix.  This module turns that data into a grading: the degree map on
 monomials, the lattice of exponent vectors of degree-zero monomials, and a
 bounded search for a monomial of a prescribed degree, which enumerates the
-lattice points of the polytope cut by the search box, by Fourier-Motzkin.
+exponent vectors over the polytope cut by the search box, by Fourier-Motzkin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from .exactmat import (
     DimensionMismatch,
@@ -24,9 +23,8 @@ from .exactmat import (
     rational_rank,
     reduce_mod_lattice,
     smith_normal_form,
-    vadd,
 )
-from .polycone import Polyhedron, lattice_points
+from .polycone import Polyhedron, lattice_images
 
 #: Default half-width of the representative search box.
 SEARCH_BOUND = 10
@@ -243,13 +241,10 @@ def find_representative(
     with ``z`` in the box ``|z_k| <= search_bound`` around a norm-reduced
     particular solution ``phi0``, the one with colexicographically smallest
     exponents is returned.  Polynomial variables must have nonnegative
-    exponents; Laurent variables are free.  The candidates are the lattice
-    points of the polytope cut by the search box, by Fourier-Motzkin.  Since
-    ``phi0`` is a common offset, colex order on ``phi0 + K z`` is lex order
-    on the values of the rows of ``K``, last row first: the candidates are
-    cut down to those least on the last row, then on the row before, until
-    one is left, and only its exponent vector is built.  One is always left,
-    as the candidates are distinct and ``K`` has full column rank.
+    exponents; Laurent variables are free.  The candidates are the images
+    ``phi0 + K z`` of the lattice points of the polytope cut by the search
+    box, built inside the Fourier-Motzkin descent by :func:`lattice_images`;
+    they are distinct, as ``K`` has full column rank, so the least is unique.
 
     Raises :class:`RepresentativeNotFound` — with ``conclusive=True`` when
     ``a`` is not in the image of the degree map at all, and
@@ -268,23 +263,16 @@ def find_representative(
     if sol is None:
         raise RepresentativeNotFound(search_bound, conclusive=True)
     phi0 = _recentre(kd, sol[: spec.n])
-    l = kd.l
     # the rows +-z_k >= -search_bound make the region bounded
-    box = tuple(
-        (tuple(sign if j == k else 0 for j in range(l)), -search_bound)
-        for k in range(l)
-        for sign in (1, -1)
-    )
-    points = lattice_points(Polyhedron(build_polytope(kd, phi0).rows + box, l))
-    if not points:
+    box = tuple(((0,) * k + (sign,) + (0,) * (kd.l - k - 1), -search_bound)
+                for k in range(kd.l) for sign in (1, -1))
+    box_poly = Polyhedron(build_polytope(kd, phi0).rows + box, kd.l)
+    # colex order on the candidates is lex order on their reversed exponents
+    flipped = list(zip(*kd.basis.rows[::-1]))
+    best = min(lattice_images(box_poly, flipped, phi0[::-1]), default=None)
+    if best is None:
         raise RepresentativeNotFound(search_bound, conclusive=False)
-    for row in reversed(kd.basis.rows):
-        if len(points) == 1:
-            break
-        values = [sum(map(mul, row, z)) for z in points]
-        least = min(values)
-        points = [z for z, value in zip(points, values) if value == least]
-    return vadd(phi0, kd.basis.apply(points[0]))
+    return best[::-1]
 
 
 def _recentre(kd: KernelData, phi0: Vec) -> Vec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import add, le, mul
 
@@ -200,9 +201,7 @@ def _normalize_row(a: Vec, c: int) -> tuple[Vec, int]:
 
 def _project_last(rows: list[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     """One step of Fourier-Motzkin: eliminate the last coordinate."""
-    keep: list[tuple[Vec, int]] = []
-    pos: list[tuple[Vec, int]] = []
-    neg: list[tuple[Vec, int]] = []
+    keep, pos, neg = [], [], []
     for a, c in rows:
         if a[-1] == 0:
             keep.append((a[:-1], c))
@@ -220,61 +219,73 @@ def _project_last(rows: list[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     return sorted(out)
 
 
-def _projections(poly: Polyhedron) -> list[list[tuple[Vec, int]]]:
-    """Systems in dimensions dim, dim-1, ..., 0 (successive eliminations)."""
-    systems = [sorted(set(poly.rows))]
-    for _ in range(poly.dim):
-        systems.append(_project_last(systems[-1]))
-    systems.reverse()
-    return systems
-
-
 def lattice_points(poly: Polyhedron) -> list[Vec]:
-    """All integer points of the polyhedron, in lexicographic order.
+    """All integer points of the polyhedron, in lexicographic order: the
+    identity image of :func:`lattice_images`, and so its boundedness test."""
+    units = [tuple(int(i == j) for i in range(poly.dim)) for j in range(poly.dim)]
+    return lattice_images(poly, units, (0,) * poly.dim)
+
+
+def lattice_images(poly: Polyhedron, columns, offset) -> list[Vec]:
+    """``offset + sum_k u_k * columns[k]`` for every integer point ``u`` of
+    the polyhedron, in the lexicographic order of ``u``.
 
     Fourier-Motzkin projects the rows down coordinate by coordinate, each
     row divided by its content with the right-hand side rounded up, and the
-    points are read off level by level.  This is also the boundedness test:
-    a polyhedron with a lattice point raises :class:`Unbounded` exactly when
-    it is unbounded.  The projections are exact over the rationals
-    (Schrijver 1986, 12.2) and rounding keeps every row's normal, so each
-    level's range is finite when the polyhedron is bounded; a lattice point
-    plus a recession direction gives infinitely many points.  An unbounded
+    descent fixes the coordinates in turn: each level adds ``lo *
+    columns[k]`` to the image once and then steps by ``columns[k]``, and the
+    last level's images are an arithmetic progression, so no point costs a
+    matrix-vector product.  This is also the boundedness test: a polyhedron
+    with a lattice point raises :class:`Unbounded` exactly when it is
+    unbounded, as the projections are exact over the rationals (Schrijver
+    1986, 12.2) and rounding keeps every row's normal.  An unbounded
     polyhedron with no lattice point either raises it too or gives ``[]``.
     """
-    systems = _projections(poly)
+    if len(columns) != poly.dim or any(len(col) != len(offset) for col in columns):
+        raise DimensionMismatch(f"{len(columns)} image columns in dimension {poly.dim}")
+    # the systems in dimensions 0, 1, ..., dim, by successive eliminations;
+    # a row whose last coefficient is 0 is also a row of the system below,
+    # where the descent has enforced it, so each level reads only the others
+    systems = [sorted(set(poly.rows))]
+    for _ in range(poly.dim):
+        systems.insert(0, _project_last(systems[0]))
     if any(c > 0 for _, c in systems[0]):
         return []
+    bounding = [[(a, c) for a, c in rows if a[-1]] for rows in systems[1:]]
     found: list[Vec] = []
 
-    def descend(prefix: Vec) -> None:
-        level = len(prefix) + 1
-        lo: int | None = None
-        hi: int | None = None
-        for a, c in systems[level]:
+    def descend(prefix: Vec, image: Vec) -> None:
+        k = len(prefix)
+        lo = hi = None
+        for a, c in bounding[k]:
             residual = c - sum(map(mul, a, prefix))
-            coeff = a[level - 1]
-            if coeff == 0:
-                if residual > 0:
-                    return
-            elif coeff > 0:
-                bound = -(-residual // coeff)
-                lo = bound if lo is None else max(lo, bound)
+            if a[k] > 0:
+                bound = -(-residual // a[k])
+                if lo is None or bound > lo:
+                    lo = bound
             else:
-                bound = residual // coeff
-                hi = bound if hi is None else min(hi, bound)
+                bound = residual // a[k]
+                if hi is None or bound < hi:
+                    hi = bound
         if lo is None or hi is None:
             raise Unbounded("coordinate range not bounded during enumeration")
-        if level == poly.dim:
-            for x in range(lo, hi + 1):
-                found.append(prefix + (x,))
+        if lo > hi:
+            return
+        col = columns[k]
+        if k + 1 == poly.dim:
+            count = hi - lo + 1
+            ranges = [range(y + lo * x, y + (hi + 1) * x, x) if x else repeat(y, count)
+                      for x, y in zip(col, image)]
+            found.extend(zip(*ranges) if ranges else repeat((), count))
         else:
+            image = tuple([y + lo * x for x, y in zip(col, image)])
             for x in range(lo, hi + 1):
-                descend(prefix + (x,))
+                descend(prefix + (x,), image)
+                image = tuple(map(add, image, col))
 
     if poly.dim == 0:
-        return [()]
-    descend(())
+        return [tuple(offset)]
+    descend((), tuple(offset))
     return found
 
 

@@ -21,7 +21,13 @@ writes ``support_hull_rows`` as a sign-normalized pool with both signs added
 back per direction, as before one pool closed under negation;
 :func:`reference_smith_normal_form` writes each Smith normal form operation
 once on ``s`` and once more on ``u`` or ``v``, as before one working matrix
-carried all three; all are kept for differential tests.
+carried all three; :func:`reference_lattice_points` reads every row at
+every level of the descent, as before each level read only the rows that
+bound its coordinate; :func:`reference_component` lists the lattice points
+first and then maps each through ``K``, adding ``phi`` with ``vadd`` and
+reducing it modulo the units with its own Gram factorization, as before
+``lattice_images`` built the exponent vectors inside the descent; all are
+kept for differential tests.
 The helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -36,8 +42,17 @@ from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
+from glaurent.components import (
+    ComponentDescription,
+    FiniteBasis,
+    ModuleGenerators,
+    NotInQ,
+    s0_generators,
+)
 from glaurent.exactmat import (
+    DimensionMismatch,
     IntMatrix,
+    Vec,
     _gauss_jordan,
     det_and_scaled_inverse,
     dot,
@@ -45,18 +60,34 @@ from glaurent.exactmat import (
     primitive,
     rational_kernel_basis,
     rational_rank,
+    reduce_mod_lattice,
     smith_normal_form,
     solve_integer,
 )
-from glaurent.grading import ActionSpec, associated_vectors
+from glaurent.grading import (
+    SEARCH_BOUND,
+    ActionSpec,
+    DegreeVector,
+    Monomial,
+    RepresentativeNotFound,
+    associated_vectors,
+    build_polytope,
+    find_representative,
+)
 from glaurent.polycone import (
     Polyhedron,
     RationalCone,
+    Unbounded,
+    _project_last,
     dual_basis_vectors,
     dual_cone,
     hilbert_basis,
     is_in_halfspace_extend,
+    lattice_points,
+    polytope_part,
     rays_in_halfspace,
+    split_lineality,
+    support_hull_rows,
 )
 from glaurent.positivity import BlockFormUnavailable, PositivityVerdict
 
@@ -670,7 +701,117 @@ def reference_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, Int
 
 
 # ---------------------------------------------------------------------------
+# reference lattice points: every row read at every level
+
+
+def reference_lattice_points(poly: Polyhedron) -> list[tuple[int, ...]]:
+    """``lattice_points`` as it was before ``lattice_images``: the descent
+    reads every row of a level, and returns when a row whose last
+    coefficient is 0 fails."""
+    systems = [sorted(set(poly.rows))]
+    for _ in range(poly.dim):
+        systems.append(_project_last(systems[-1]))
+    systems.reverse()
+    if any(c > 0 for _, c in systems[0]):
+        return []
+    found: list[tuple[int, ...]] = []
+
+    def descend(prefix: tuple[int, ...]) -> None:
+        level = len(prefix) + 1
+        lo: int | None = None
+        hi: int | None = None
+        for a, c in systems[level]:
+            residual = c - sum(x * y for x, y in zip(a, prefix))
+            coeff = a[level - 1]
+            if coeff == 0:
+                if residual > 0:
+                    return
+            elif coeff > 0:
+                bound = -(-residual // coeff)
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                bound = residual // coeff
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None or hi is None:
+            raise Unbounded("coordinate range not bounded during enumeration")
+        if level == poly.dim:
+            for x in range(lo, hi + 1):
+                found.append(prefix + (x,))
+        else:
+            for x in range(lo, hi + 1):
+                descend(prefix + (x,))
+
+    if poly.dim == 0:
+        return [()]
+    descend(())
+    return found
+
+
+# ---------------------------------------------------------------------------
+# reference component: lattice points first, then one product per point
+
+
+def reference_component(
+    spec: ActionSpec,
+    a: DegreeVector,
+    search_bound: int = SEARCH_BOUND,
+) -> ComponentDescription:
+    """Describe the graded component of degree ``a``.
+
+    Finds a canonical exponent vector of degree ``a`` (or reports
+    :class:`NotInQ`), then returns a :class:`FiniteBasis` when the component
+    is finite dimensional and :class:`ModuleGenerators` otherwise.
+
+    The module generators are the lattice points of the polyhedron with its
+    lineality (the degree-zero units) split off, if that quotient is
+    bounded.  Otherwise they are cut from a region around the lattice core
+    of :func:`polytope_part` plus the zonotope of the recession Hilbert
+    basis, clipped to the quotient; the core alone is the minimal set.
+    """
+    kd = associated_vectors(spec)
+    try:
+        phi = find_representative(spec, kd, a, search_bound)
+    except RepresentativeNotFound as exc:
+        return ComponentDescription(a, None, NotInQ(exc.bound, exc.conclusive))
+    poly = build_polytope(kd, phi)
+    try:
+        points = lattice_points(poly)
+    except Unbounded:
+        pass
+    else:
+        # sorting the exponent tuples before wrapping them spares a Python
+        # level Monomial.__lt__ call per comparison; the order is the same
+        exponents = sorted((vadd(phi, kd.basis.apply(u)) for u in points), reverse=True)
+        return ComponentDescription(a, phi, FiniteBasis(tuple(map(Monomial, exponents))))
+    quotient, section, lin = split_lineality(poly)
+    try:
+        points = lattice_points(quotient)
+    except Unbounded:
+        core, recession_hb = polytope_part(quotient)
+        normals = [row for row, _ in quotient.rows]
+        region = support_hull_rows(core, recession_hb.elements, normals, quotient.dim)
+        points = lattice_points(Polyhedron(quotient.rows + region.rows, quotient.dim))
+    # lift through the zero section, then reduce each exponent vector
+    # modulo the unit lattice; the result depends only on the component,
+    # not on the representative
+    lift = kd.basis @ section
+    units = kd.basis @ lin
+    seen: set[Vec] = set()
+    for u_bar in points:
+        g = vadd(phi, lift.apply(u_bar))
+        seen.add(reduce_mod_lattice(units, g))
+    sa = tuple(map(Monomial, sorted(seen, reverse=True)))
+    return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
+
+
+# ---------------------------------------------------------------------------
 # helpers with no caller left in the library
+
+
+def vadd(u: Sequence, v: Sequence) -> tuple:
+    if len(u) != len(v):
+        raise DimensionMismatch("sum of vectors of different lengths")
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:

@@ -10,8 +10,8 @@ The exceptions are the brute-force routines that the library replaced, kept
 as differential references: :func:`dual_cone_by_subsets`, the rational
 subset enumeration behind the double-description dual;
 :func:`find_representative_by_box`, the scan of every point of the search
-box behind the Fourier-Motzkin representative search, ranked by the colex
-key that the search itself replaced by a cascade over the lattice rows;
+box behind the Fourier-Motzkin representative search, ranked by the same
+colex key;
 :func:`prune_points`, the filter that thinned module generators down to the
 lattice core of the polyhedron; :func:`hilbert_basis_by_subsets`, the
 closed parallelepipeds of every nonsingular generator subset, listed by

@@ -5,10 +5,10 @@ import itertools
 import random
 
 import pytest
-from helpers import is_bounded, random_spec
+from helpers import is_bounded, random_spec, reference_component, vadd
 from oracle import nonneg_combination_checker, prune_points
 
-from glaurent import components, grading, polycone
+from glaurent import components, exactmat, grading, polycone
 from glaurent.components import (
     INFINITE,
     FiniteBasis,
@@ -19,7 +19,7 @@ from glaurent.components import (
     component_dimension,
     s0_generators,
 )
-from glaurent.exactmat import IntMatrix, reduce_mod_lattice, vadd
+from glaurent.exactmat import IntMatrix, reduce_mod_lattice
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
 from glaurent.polycone import (
     Polyhedron,
@@ -289,6 +289,91 @@ class TestFinitenessFromEnumeration:
         assert seen["finite"] >= 100, seen
         assert seen["unbounded quotient"] >= 100, seen
         assert seen["bounded quotient, infinite"] >= 20, seen
+
+
+class TestComponentDifferential:
+    """``component`` against ``helpers.reference_component``, the same
+    pipeline with the lattice points listed first and each then mapped
+    through ``K`` and reduced modulo the units on its own."""
+
+    def test_matches_reference(self):
+        # 600 seeded specs (n <= 4, entries in [-3, 3], torsion and Laurent
+        # columns) at an attained degree or a random one, with search bounds
+        # 0-4; every other one also with a zero-weight Laurent column
+        # appended, a degree-zero unit whose quotient is often bounded
+        rng = random.Random(2200)
+        seen = collections.Counter()
+        for _ in range(600):
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=1, lo=-3, hi=3)
+            specs = [spec]
+            if rng.random() < 1 / 2:
+                rows = [row + (0,) for row in spec.weights.rows]
+                specs.append(
+                    ActionSpec(spec.r, spec.s + 1, spec.p, spec.torsion, IntMatrix.from_rows(rows))
+                )
+            values = [rng.randint(-4, 4) for _ in range(spec.m)]
+            exponents = [rng.randint(0, 3) for _ in range(spec.r)]
+            exponents += [rng.randint(-3, 3) for _ in range(spec.s)]
+            bound = rng.randint(0, 4)
+            for unit, sp in enumerate(specs):
+                if rng.random() < 0.7:
+                    a = degree(sp, exponents + [rng.randint(-2, 2)] * unit)
+                else:
+                    a = DegreeVector.from_values(sp, values)
+                desc = component(sp, a, bound)
+                assert desc == reference_component(sp, a, bound), (sp, a, bound)
+                seen[self.path(sp, desc)] += 1
+                seen["torsion"] += sp.t > 0
+        assert seen["finite"] >= 50, seen
+        assert seen["not in Q"] >= 50, seen
+        assert seen["module"] >= 200, seen
+        assert seen["module, units, bounded quotient"] >= 50, seen
+        assert seen["module, units, unbounded quotient"] >= 50, seen
+        assert seen["torsion"] >= 200, seen
+
+    @staticmethod
+    def path(spec, desc) -> str:
+        if isinstance(desc.kind, NotInQ):
+            return "not in Q"
+        if isinstance(desc.kind, FiniteBasis):
+            return "finite"
+        poly = build_polytope(associated_vectors(spec), desc.representative)
+        quotient, _, lin = split_lineality(poly)
+        if not lin.cols:
+            return "module"
+        try:
+            lattice_points(quotient)
+        except Unbounded:
+            return "module, units, unbounded quotient"
+        return "module, units, bounded quotient"
+
+
+class TestUnitReduction:
+    @pytest.mark.parametrize("rows, r", [([[1, -1, 2, 0]], 3), ([[1, 1, 0]], 2)])
+    def test_one_factorization_per_component(self, monkeypatch, rows, r):
+        """The degree-zero units are reduced with one Gram factorization per
+        call: the number of ``det_and_scaled_inverse`` calls of a call with
+        warm caches is the same at every degree, however many generators
+        it prints (``unit_mixed`` and ``unit_line``)."""
+        spec = spec_of(r, 1, 1, (), rows)
+        calls = collections.Counter()
+        factor = exactmat.det_and_scaled_inverse
+
+        def counted(a):
+            calls["det"] += 1
+            return factor(a)
+
+        monkeypatch.setattr(exactmat, "det_and_scaled_inverse", counted)
+        per_degree = {}
+        for d in range(9):
+            component(spec, deg(spec, [d]))
+            calls.clear()
+            desc = component(spec, deg(spec, [d]))
+            per_degree[len(desc.kind.sa_gens)] = calls["det"]
+            poly = build_polytope(associated_vectors(spec), desc.representative)
+            assert split_lineality(poly)[2].cols
+        assert len(per_degree) >= 5 and max(per_degree) >= 9, per_degree
+        assert len(set(per_degree.values())) == 1, per_degree
 
 
 def test_build_polytope_is_defined_once():

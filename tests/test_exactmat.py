@@ -19,6 +19,7 @@ from helpers import (
     identity,
     random_spec,
     reference_smith_normal_form,
+    vadd,
     vscale,
     vsub,
 )
@@ -40,7 +41,6 @@ from glaurent.exactmat import (
     smith_normal_form,
     solve_integer,
     unimodular_completion,
-    vadd,
 )
 from glaurent.grading import _stacked_matrix
 

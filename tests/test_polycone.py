@@ -1,5 +1,6 @@
 """Unit tests for polyhedra, cones, Hilbert bases, and half-space tests."""
 
+import collections
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from helpers import (
     cone_contains,
     determinant,
     is_bounded,
+    reference_lattice_points,
     reference_parallelepiped_points,
     reference_rays_in_halfspace,
     reference_span_hilbert_basis,
@@ -27,6 +29,7 @@ from glaurent.polycone import (
     dual_hilbert_basis,
     hilbert_basis,
     is_in_halfspace_extend,
+    lattice_images,
     lattice_points,
     polytope_part,
     rays_in_halfspace,
@@ -251,6 +254,58 @@ class TestLatticePointsDifferential:
             nonempty += bool(scan)
             empty += not scan
         assert nonempty > 100 and empty > 50
+
+
+class TestLatticeImagesDifferential:
+    def test_matches_mapped_points(self):
+        """1,200 seeded polyhedra in dimensions 0-4 with rows, right-hand
+        sides and image entries in [-3, 3]; half of them are clipped to a box
+        ``|u_i| <= B``.  ``lattice_images`` must list ``offset + M u`` for
+        the points ``u`` of ``lattice_points``, in their order, and raise
+        ``Unbounded`` exactly when ``lattice_points`` does; both must agree
+        with ``helpers.reference_lattice_points``, whose descent reads every
+        row at every level."""
+        rng = random.Random(2201)
+        seen = collections.Counter()
+        for _ in range(1200):
+            d = rng.randint(0, 4)
+            n = rng.randint(0, 5)
+            rows = [
+                (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 5))
+            ]
+            if rng.random() < 0.5:
+                bound = rng.randint(0, 3)
+                for i in range(d):
+                    e = tuple(int(i == j) for j in range(d))
+                    rows += [(e, -bound), (tuple(-x for x in e), -bound)]
+            poly = Polyhedron(tuple(rows), d)
+            columns = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(d)]
+            offset = tuple(rng.randint(-3, 3) for _ in range(n))
+            try:
+                points = reference_lattice_points(poly)
+            except Unbounded:
+                with pytest.raises(Unbounded):
+                    lattice_points(poly)
+                with pytest.raises(Unbounded):
+                    lattice_images(poly, columns, offset)
+                seen["unbounded"] += 1
+                continue
+            assert lattice_points(poly) == points, (rows, d)
+            mapped = [
+                tuple(o + sum(c[i] * x for c, x in zip(columns, u)) for i, o in enumerate(offset))
+                for u in points
+            ]
+            assert lattice_images(poly, columns, offset) == mapped, (rows, d, columns, offset)
+            seen["points" if points else "empty"] += 1
+            seen["dimension 0"] += d == 0
+        assert seen["points"] >= 300 and seen["empty"] >= 100, seen
+        assert seen["unbounded"] >= 200 and seen["dimension 0"] >= 100, seen
+
+    @pytest.mark.parametrize("columns, offset", [([(1, 0)], (0, 0)), ([(1,), (1, 0)], (0,))])
+    def test_shape_mismatch(self, columns, offset):
+        with pytest.raises(DimensionMismatch):
+            lattice_images(Polyhedron((((1, 0), 0),), 2), columns, offset)
 
 
 class TestHilbertBasis:
