@@ -49,6 +49,13 @@ class _InstanceError(Exception):
         self.code = code
 
 
+def _array(value, name: str) -> list:
+    """``value`` if it is a JSON array; strings and objects are not iterated."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be an array, got {value!r}")
+    return value
+
+
 def load_instance(path: str) -> ActionSpec:
     """Read an instance file; raises :class:`_InstanceError` with exit code."""
     try:
@@ -63,10 +70,10 @@ def load_instance(path: str) -> ActionSpec:
     try:
         # JSON numbers like 1.7 and values like "2" or true are refused, not coerced
         (p,) = int_vector([raw["p"]])
-        torsion = int_vector(raw.get("torsion", []))
+        torsion = int_vector(_array(raw.get("torsion", []), "torsion"))
         (r,) = int_vector([raw["r"]])
         (s,) = int_vector([raw["s"]])
-        rows = [int_vector(row) for row in raw["L"]]
+        rows = [int_vector(_array(row, "a row of L")) for row in _array(raw["L"], "L")]
     except (KeyError, TypeError, ValueError) as exc:
         raise _InstanceError(f"malformed instance field: {exc}", _PARSE_ERROR)
     try:

@@ -382,16 +382,16 @@ def _hilbert_by_completion(forms, d: int, level: Vec | None) -> list[Vec]:
 
     Pottier's completion (Pottier, ISSAC 1996; the dual mode of Normaliz,
     Bruns-Ichim 2010) adds one form at a time to the Hilbert basis of the
-    cone cut so far.  The seed is a unimodular cone containing the cone,
-    level form first, so its basis is its rays.  Its rows start as the pivot basis
-    of one elimination among the forms; while putting another form in place
-    of one row lowers ``|det|``, the exchange that lowers it most is made.
-    Then each step puts in place of a row the lattice point of the rows'
-    cone, which lies in the dual cone, that lowers ``|det|`` most, down to
-    1.  An element is kept as the tuple of its values on the rows and
-    forms, which add under sums and fix it.  With ``t >= 0`` for the level
-    ``t`` among the rows, sums only raise ``t``, so every element and sum at
-    ``t >= 2`` is dropped.
+    cone cut so far.  The seed is the simplicial cone of ``d`` of the forms,
+    level form first.  Its rows start as the pivot basis of one elimination
+    among the forms; while putting another form in place of one row lowers
+    ``|det|``, the exchange that lowers it most is made.  Its Hilbert basis
+    is read as in the triangulation: the rays, plus the points of their
+    half-open parallelepiped, less the reducible ones.  An element is kept
+    as the tuple of its values on the forms, seed rows first, which add
+    under sums and fix it.  With ``t >= 0`` for the level ``t`` among the
+    rows, sums only raise ``t``, so every element and sum at ``t >= 2`` is
+    dropped.
     """
     if d == 0:
         return []
@@ -413,33 +413,20 @@ def _hilbert_by_completion(forms, d: int, level: Vec | None) -> list[Vec]:
             break
         _, i, j = min(swaps)
         basis[i] = j
-    rows = [order[j] for j in basis]
-    while abs(det) > 1:
-        # e_k = sum c_i rows_i with c = row k of adj / det; its class mod the
-        # rows' lattice is the point sum frac(c_i) rows_i of the dual cone,
-        # and it replaces row i with determinant det frac(c_i)
-        size = abs(det)
-        sign = 1 if det > 0 else -1
-        _, k, i = min(
-            (sign * adj.rows[k][i] % size, k, i)
-            for k in range(d) for i in range(fixed, d) if sign * adj.rows[k][i] % size
-        )
-        frac = [sign * x % size for x in adj.rows[k]]
-        rows[i] = tuple(sum(map(mul, frac, col)) // size for col in zip(*rows))
-        det, adj = det_and_scaled_inverse(IntMatrix.from_rows(rows, d))
-    chosen = set(rows)
-    forms = rows + [f for f in order if f not in chosen]
-    # the rows' dual basis, the columns of det adj, is the seed's Hilbert basis
-    elements = [
-        tuple([det * sum(map(mul, f, y)) for f in forms]) for y in zip(*adj.rows)
-    ]
-    if top is not None:
-        elements = [v for v in elements if v[0] <= top]
+    forms = [order[j] for j in basis] + [f for j, f in enumerate(order) if j not in basis]
+    # the seed's rays are the columns of sign(det) adj; its Hilbert basis is
+    # theirs and their parallelepiped's points, less the reducible ones, and
+    # with |det| = 1 the rays are unimodular and the parallelepiped empty
+    sign = 1 if det > 0 else -1
+    seed = [primitive([sign * x for x in y]) for y in zip(*adj.rows)]
+    if abs(det) > 1:
+        seed += _parallelepiped_points(IntMatrix.from_columns(seed, d))
+    values = [tuple([sum(map(mul, f, y)) for f in forms]) for y in seed]
+    elements = _undominated([v for v in values if top is None or v[0] <= top], d)
     for j in range(d, len(forms)):
         elements = _add_form(elements, j, top)
     # the first d values are B y for the seed matrix B, and adj B = det I
-    # with det = +-1
-    return [tuple(det * x for x in adj.apply(v[:d])) for v in elements]
+    return [tuple(x // det for x in adj.apply(v[:d])) for v in elements]
 
 
 def _add_form(elements: list[Vec], j: int, top: int | None) -> list[Vec]:

@@ -26,8 +26,11 @@ every level of the descent, as before each level read only the rows that
 bound its coordinate; :func:`reference_component` lists the lattice points
 first and then maps each through ``K``, adding ``phi`` with ``vadd`` and
 reducing it modulo the units with its own Gram factorization, as before
-``lattice_images`` built the exponent vectors inside the descent; all are
-kept for differential tests.
+``lattice_images`` built the exponent vectors inside the descent;
+:func:`reference_hilbert_by_completion` lowers the completion's seed to a
+unimodular cone by putting lattice points of the dual cone in place of its
+rows, as before the seed's Hilbert basis was read off its parallelepiped;
+all are kept for differential tests.
 The helpers at the end have no caller left in the library: the vector helpers,
 the identity matrix, the determinant, the cone membership test, and
 :func:`is_bounded`, the double-description boundedness test that the
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from glaurent.components import (
@@ -78,6 +82,7 @@ from glaurent.polycone import (
     Polyhedron,
     RationalCone,
     Unbounded,
+    _add_form,
     _project_last,
     dual_basis_vectors,
     dual_cone,
@@ -120,6 +125,57 @@ def random_spec(
         weights = IntMatrix.from_rows(rows, n)
         if rational_rank(weights.rows) == m:
             return ActionSpec(r, s, p, torsion, weights)
+
+
+def random_normals(rng, kind: str) -> RationalCone:
+    """Seeded inequality normals in dimensions 1-4, entries in [-2, 2], each
+    turned to be nonnegative on a random point ``c``.
+
+    ``pointed`` normals span the space.  ``equalities`` add both signs of a
+    normal orthogonal to ``c``, so the cone they cut is not full-dimensional.
+    ``lineality`` normals are projected into a hyperplane first.  Half the
+    ``trivial`` sets hold both signs of a basis, so they cut out only the
+    origin, and half are empty, so they cut out the whole space.
+    """
+    d = rng.randint(1, 4)
+    if kind == "trivial" and rng.random() < 0.5:
+        return RationalCone((), d)
+    while True:
+        c = tuple(rng.randint(-2, 2) for _ in range(d))
+        w = tuple(rng.randint(-2, 2) for _ in range(d))
+        if not any(c) or not any(w):
+            continue
+        normals = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 3))]
+        if kind == "lineality":
+            # the component orthogonal to w
+            normals = [tuple(dot(w, w) * x - dot(w, a) * y for x, y in zip(a, w)) for a in normals]
+        normals = [a if dot(a, c) >= 0 else tuple(-x for x in a) for a in normals]
+        if kind == "equalities":
+            a = tuple(dot(c, c) * x - dot(c, w) * y for x, y in zip(w, c))
+            normals += [a, tuple(-x for x in a)]
+        if kind == "trivial":
+            normals += [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+        cone = RationalCone(tuple(normals), d)
+        rank = rational_rank(cone.generators) if cone.generators else 0
+        if (rank < d) == (kind == "lineality"):
+            return cone
+
+
+def random_quotient(rng) -> Polyhedron:
+    """The lineality quotient of the polytope of a seeded exponent vector of
+    a seeded action: 1-2 weight rows with torsion and Laurent columns, ``n
+    <= 5``, bounded or not."""
+    spec = random_spec(rng, max_n=5, max_p=2, max_t=1, lo=-4, hi=4)
+    phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
+    phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
+    return split_lineality(build_polytope(associated_vectors(spec), phi))[0]
+
+
+def homogenized_normals(poly: Polyhedron) -> tuple[RationalCone, Vec]:
+    """The normals of ``{(u, t) : <a, u> >= c t, t >= 0}`` over the rows
+    ``(a, c)`` of the polyhedron, and the level form ``t``."""
+    level = (0,) * poly.dim + (1,)
+    return RationalCone(tuple(a + (-c,) for a, c in poly.rows) + (level,), poly.dim + 1), level
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +858,77 @@ def reference_component(
         seen.add(reduce_mod_lattice(units, g))
     sa = tuple(map(Monomial, sorted(seen, reverse=True)))
     return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
+
+
+# ---------------------------------------------------------------------------
+# reference completion: a unimodular seed reached by lattice points
+
+
+def reference_hilbert_by_completion(forms, d: int, level: Vec | None) -> list[Vec]:
+    """Hilbert basis of the pointed full-dimensional cone ``{y : <f, y> >= 0
+    for f in forms}``; with a ``level`` form, only its elements at level 0
+    and 1.
+
+    Pottier's completion (Pottier, ISSAC 1996; the dual mode of Normaliz,
+    Bruns-Ichim 2010) adds one form at a time to the Hilbert basis of the
+    cone cut so far.  The seed is a unimodular cone containing the cone,
+    level form first, so its basis is its rays.  Its rows start as the pivot basis
+    of one elimination among the forms; while putting another form in place
+    of one row lowers ``|det|``, the exchange that lowers it most is made.
+    Then each step puts in place of a row the lattice point of the rows'
+    cone, which lies in the dual cone, that lowers ``|det|`` most, down to
+    1.  An element is kept as the tuple of its values on the rows and
+    forms, which add under sums and fix it.  With ``t >= 0`` for the level
+    ``t`` among the rows, sums only raise ``t``, so every element and sum at
+    ``t >= 2`` is dropped.
+    """
+    if d == 0:
+        return []
+    head = () if level is None else (level,)
+    order = list(RationalCone(head + tuple(forms), d).generators)
+    top = None if level is None else 1 // gcd(*level)
+    _, _, basis = _gauss_jordan(list(zip(*order)), len(order))
+    fixed = 0 if level is None else 1
+    while True:
+        det, adj = det_and_scaled_inverse(IntMatrix.from_rows([order[j] for j in basis], d))
+        # putting f in place of basis form i gives the determinant (adj^T f)_i
+        exchange = adj.transpose().apply
+        swaps = [
+            (abs(x), i, j)
+            for j, f in enumerate(order) if j not in basis
+            for i, x in enumerate(exchange(f)) if i >= fixed and 0 < abs(x) < abs(det)
+        ]
+        if not swaps:
+            break
+        _, i, j = min(swaps)
+        basis[i] = j
+    rows = [order[j] for j in basis]
+    while abs(det) > 1:
+        # e_k = sum c_i rows_i with c = row k of adj / det; its class mod the
+        # rows' lattice is the point sum frac(c_i) rows_i of the dual cone,
+        # and it replaces row i with determinant det frac(c_i)
+        size = abs(det)
+        sign = 1 if det > 0 else -1
+        _, k, i = min(
+            (sign * adj.rows[k][i] % size, k, i)
+            for k in range(d) for i in range(fixed, d) if sign * adj.rows[k][i] % size
+        )
+        frac = [sign * x % size for x in adj.rows[k]]
+        rows[i] = tuple(sum(map(mul, frac, col)) // size for col in zip(*rows))
+        det, adj = det_and_scaled_inverse(IntMatrix.from_rows(rows, d))
+    chosen = set(rows)
+    forms = rows + [f for f in order if f not in chosen]
+    # the rows' dual basis, the columns of det adj, is the seed's Hilbert basis
+    elements = [
+        tuple([det * sum(map(mul, f, y)) for f in forms]) for y in zip(*adj.rows)
+    ]
+    if top is not None:
+        elements = [v for v in elements if v[0] <= top]
+    for j in range(d, len(forms)):
+        elements = _add_form(elements, j, top)
+    # the first d values are B y for the seed matrix B, and adj B = det I
+    # with det = +-1
+    return [tuple(det * x for x in adj.apply(v[:d])) for v in elements]
 
 
 # ---------------------------------------------------------------------------

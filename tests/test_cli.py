@@ -217,6 +217,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "expected an integer" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 1, "torsion": "", "r": 2, "s": 0, "L": [[1, 1]]},
+            {"p": 1, "torsion": {}, "r": 2, "s": 0, "L": [[1, 1]]},
+            {"p": 0, "r": 2, "s": 0, "L": {}},
+            {"p": 0, "r": 2, "s": 0, "L": ""},
+            {"p": 1, "r": 2, "s": 0, "L": [{}]},
+        ],
+    )
+    def test_non_array_values_rejected(self, tmp_path, doc):
+        # strings and objects iterate as empty or as their keys; each of the
+        # first four was once read as an empty list and accepted
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["kernel", str(path)])
+        assert (code, out) == (2, "")
+        assert "must be an array" in err
+
     def test_negative_bound_is_parse_error(self, capsys):
         code, out, err = run_cli(
             ["component", str(DATA / "standard.json"), "--degree", "-1", "--bound", "-1"]

@@ -5,7 +5,16 @@ import itertools
 import random
 
 import pytest
-from helpers import is_bounded, random_spec, reference_component, vadd
+from helpers import (
+    homogenized_normals,
+    is_bounded,
+    random_normals,
+    random_quotient,
+    random_spec,
+    reference_component,
+    reference_hilbert_by_completion,
+    vadd,
+)
 from oracle import nonneg_combination_checker, prune_points
 
 from glaurent import components, exactmat, grading, polycone
@@ -23,10 +32,10 @@ from glaurent.exactmat import IntMatrix, reduce_mod_lattice
 from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
 from glaurent.polycone import (
     Polyhedron,
-    RationalCone,
     Unbounded,
     dual_cone,
     dual_hilbert_basis,
+    hilbert_basis,
     lattice_points,
     polytope_part,
     split_lineality,
@@ -206,30 +215,62 @@ class TestTruncatedCompletion:
         # 400 quotient polyhedra from 1-2 weight rows with torsion and Laurent
         # columns, bounded or not: with t >= 0 in the seed, the completion
         # that drops every element at t >= 2 returns exactly the elements at
-        # t <= 1 of the full Hilbert basis of the homogenized cone
+        # t <= 1 of the full Hilbert basis of the homogenized cone, found by
+        # the completion and by the triangulation of its generators alike
         rng = random.Random(8400)
         seen = collections.Counter()
         for _ in range(400):
-            spec = random_spec(rng, max_n=5, max_p=2, max_t=1, lo=-4, hi=4)
-            kd = associated_vectors(spec)
-            phi = tuple(rng.randint(0, 3) for _ in range(spec.r))
-            phi += tuple(rng.randint(-2, 2) for _ in range(spec.s))
-            quotient, _, _ = split_lineality(build_polytope(kd, phi))
+            quotient = random_quotient(rng)
             d = quotient.dim
-            level = (0,) * d + (1,)
-            normals = RationalCone(
-                tuple(a + (-c,) for a, c in quotient.rows) + (level,), d + 1
-            )
-            gens = dual_cone(normals).generators
+            normals, level = homogenized_normals(quotient)
+            cone = dual_cone(normals)
             full = dual_hilbert_basis(normals).elements
-            truncated = polycone._monoid_basis(gens, normals.generators, d + 1, level)
-            assert truncated == tuple(h for h in full if h[-1] <= 1), (spec, phi)
+            truncated = polycone._monoid_basis(cone.generators, normals.generators, d + 1, level)
+            assert truncated == tuple(h for h in full if h[-1] <= 1), quotient
+            triangulated = hilbert_basis(cone).elements
+            assert truncated == tuple(h for h in triangulated if h[-1] <= 1), quotient
             core, recession_hb = polytope_part(quotient)
             assert core == tuple(h[:-1] for h in truncated if h[-1] == 1)
             assert recession_hb.elements == tuple(h[:-1] for h in truncated if h[-1] == 0)
             seen["dropped"] += len(truncated) < len(full)
             seen["unbounded"] += bool(recession_hb.elements)
         assert seen["dropped"] >= 100 and seen["unbounded"] >= 100, seen
+
+
+class TestCompletionSeed:
+    """The completion seeded by a simplicial cone of forms, its Hilbert basis
+    read off the parallelepiped, against the unimodular seed it replaced."""
+
+    def test_matches_unimodular_seed(self, monkeypatch):
+        # 1,200 random_normals sets without a level form and the 400
+        # quotients of TestTruncatedCompletion with one, each in the
+        # coordinates of its pointed quotient
+        cases = []
+        rng = random.Random(2500)
+        for kind in ["pointed", "equalities", "lineality", "trivial"] * 300:
+            cases.append((random_normals(rng, kind), None))
+        rng = random.Random(8400)
+        for _ in range(400):
+            cases.append(homogenized_normals(random_quotient(rng)))
+        # the seed's parallelepiped is listed only when the exchange loop
+        # left |det| > 1
+        count = collections.Counter()
+        listed = polycone._parallelepiped_points
+
+        def counting(mat):
+            count["wide"] += 1
+            return listed(mat)
+
+        monkeypatch.setattr(polycone, "_parallelepiped_points", counting)
+        for normals, level in cases:
+            forms = normals.generators
+            section, _ = polycone._pointed_quotient(dual_cone(normals).generators, forms, normals.dim)
+            restrict = section.transpose().apply
+            args = ([restrict(f) for f in forms], section.cols, level and restrict(level))
+            new = polycone._hilbert_by_completion(*args)
+            assert sorted(new) == sorted(reference_hilbert_by_completion(*args)), (normals, level)
+            count["seeded"] += section.cols > 0
+        assert count["seeded"] >= 1000 and count["wide"] >= 300, count
 
 
 class TestFinitenessFromEnumeration:
