@@ -4,7 +4,8 @@ Fix a degree.  A representative of it turns the component's monomials into
 the lattice points of a polyhedron holding the origin, and the component is
 finite dimensional exactly when that polyhedron is bounded: the lattice
 point enumeration lists the points, or raises :class:`Unbounded`.  A finite
-component (every one when the grading is positive) gets its monomial basis.
+component (every one when the grading is positive) gets its monomial basis
+from the one listing that also picks its representative.
 Otherwise the degree-zero part is an infinitely generated monomial algebra
 with a finite canonical set of ring generators, and the component is a
 finitely generated module over it; we produce both generating sets.
@@ -32,7 +33,6 @@ from .polycone import (
     Unbounded,
     dual_hilbert_basis,
     lattice_images,
-    lattice_points,
     polytope_part,
     split_lineality,
     support_hull_rows,
@@ -106,8 +106,12 @@ def component(
     :class:`NotInQ`), then returns a :class:`FiniteBasis` when the component
     is finite dimensional and :class:`ModuleGenerators` otherwise.
 
-    Every exponent vector ``phi + K u`` is built by :func:`lattice_images`
-    as it enumerates the points ``u``.  The module generators come from the
+    A finite component's basis is the listing that
+    :func:`find_representative` fills: its bounded polytope is listed once,
+    with no box rows, and the search box only picks the representative, so
+    the component costs its size, whatever ``search_bound`` is.  Every
+    exponent vector ``phi + K u`` is built by :func:`lattice_images` as it
+    enumerates the points ``u``.  The module generators come from the
     lattice points of the polyhedron with its lineality (the degree-zero
     units) split off, if that quotient is bounded.  Otherwise they are cut
     from a region around the lattice core of :func:`polytope_part` plus the
@@ -116,20 +120,17 @@ def component(
     and reduced modulo the units, if any, with one Gram factorization.
     """
     kd = associated_vectors(spec)
+    exponents: list = []
     try:
-        phi = find_representative(spec, kd, a, search_bound)
+        phi = find_representative(spec, kd, a, search_bound, listing=exponents)
     except RepresentativeNotFound as exc:
         return ComponentDescription(a, None, NotInQ(exc.bound, exc.conclusive))
-    poly = build_polytope(kd, phi)
-    try:
-        exponents = lattice_images(poly, kd.basis.transpose().rows, phi)
-    except Unbounded:
-        pass
-    else:
+    if exponents:  # empty only when the polytope is unbounded
         # sorting the exponent tuples before wrapping them spares a Python
         # level Monomial.__lt__ call per comparison; the order is the same
         exponents.sort(reverse=True)
         return ComponentDescription(a, phi, FiniteBasis(tuple(map(Monomial, exponents))))
+    poly = build_polytope(kd, phi)
     quotient, section, lin = split_lineality(poly)
     # the lift through the zero section is injective: only units merge images
     lift = (kd.basis @ section).transpose().rows
@@ -153,17 +154,18 @@ def component_dimension(
 ):
     """Dimension of the component: an integer or :data:`INFINITE`.
 
-    A conclusively unattained degree has dimension zero; an inconclusive
-    representative search raises :class:`RepresentativeNotFound`.
+    The size of the one listing that :func:`find_representative` fills,
+    whatever ``search_bound`` is.  A conclusively unattained degree has
+    dimension zero; an inconclusive representative search raises
+    :class:`RepresentativeNotFound`.
     """
     kd = associated_vectors(spec)
+    exponents: list = []
     try:
-        phi = find_representative(spec, kd, a, search_bound)
+        find_representative(spec, kd, a, search_bound, listing=exponents)
     except RepresentativeNotFound as exc:
         if exc.conclusive:
             return 0
         raise
-    try:
-        return len(lattice_points(build_polytope(kd, phi)))
-    except Unbounded:
-        return INFINITE
+    # a found representative is listed, unless the polytope is unbounded
+    return len(exponents) or INFINITE

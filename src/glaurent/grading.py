@@ -3,20 +3,26 @@
 A diagonal action of a product of multiplicative groups and finite cyclic
 groups on a mixed polynomial/Laurent ring is described by an integer weight
 matrix.  This module turns that data into a grading: the degree map on
-monomials, the lattice of exponent vectors of degree-zero monomials, and a
-bounded search for a monomial of a prescribed degree, which enumerates the
-exponent vectors over the polytope cut by the search box, by Fourier-Motzkin.
+monomials, the lattice of exponent vectors of degree-zero monomials, and the
+monomials of a prescribed degree, the images of the lattice points of a
+polytope listed by Fourier-Motzkin.  A search for one monomial lists the
+polytope cut by the search box.  A search that also asks for the whole
+component lists a bounded polytope once, with no box rows, and the box only
+picks the canonical representative among its points, so a finite component
+costs its size, whatever the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
     Vec,
+    _gauss_jordan,
     _smith_kernel,
     _smith_solve,
     int_vector,
@@ -24,7 +30,7 @@ from .exactmat import (
     reduce_mod_lattice,
     smith_normal_form,
 )
-from .polycone import Polyhedron, lattice_images
+from .polycone import Polyhedron, Unbounded, lattice_images
 
 #: Default half-width of the representative search box.
 SEARCH_BOUND = 10
@@ -233,7 +239,12 @@ def build_polytope(kd: KernelData, phi: Vec) -> Polyhedron:
 
 
 def find_representative(
-    spec: ActionSpec, kd: KernelData, a: DegreeVector, search_bound: int = SEARCH_BOUND
+    spec: ActionSpec,
+    kd: KernelData,
+    a: DegreeVector,
+    search_bound: int = SEARCH_BOUND,
+    *,
+    listing: list[Vec] | None = None,
 ) -> Vec:
     """Exponent vector of a monomial of degree ``a``, or raise.
 
@@ -246,9 +257,17 @@ def find_representative(
     box, built inside the Fourier-Motzkin descent by :func:`lattice_images`;
     they are distinct, as ``K`` has full column rank, so the least is unique.
 
+    Given an empty list ``listing``, a bounded polytope is instead listed
+    once, with no box rows, and every exponent vector of degree ``a`` is
+    appended to ``listing``; the box only picks the representative among
+    them, by reading ``z`` back with the adjugate of one nonsingular row
+    block of ``K``.  The answer is the same, and the call costs the size of
+    the component, whatever the bound.  An unbounded polytope leaves
+    ``listing`` empty and has its representative searched within the box.
+
     Raises :class:`RepresentativeNotFound` — with ``conclusive=True`` when
     ``a`` is not in the image of the degree map at all, and
-    ``conclusive=False`` when the bounded lattice search found nothing.
+    ``conclusive=False`` when no valid exponent vector has ``z`` in the box.
     ``search_bound`` must be an ``int`` (else :class:`TypeError`) and at
     least 0 (else :class:`ValueError`).
     """
@@ -263,16 +282,51 @@ def find_representative(
     if sol is None:
         raise RepresentativeNotFound(search_bound, conclusive=True)
     phi0 = _recentre(kd, sol[: spec.n])
+    poly = build_polytope(kd, phi0)
+    if listing is not None:
+        try:
+            listing.extend(lattice_images(poly, kd.basis.transpose().rows, phi0))
+        except Unbounded:
+            pass
+        else:
+            best = min(filter(_box_test(kd, phi0, search_bound), listing),
+                       key=_colex, default=None)
+            if best is None:
+                raise RepresentativeNotFound(search_bound, conclusive=False)
+            return best
     # the rows +-z_k >= -search_bound make the region bounded
     box = tuple(((0,) * k + (sign,) + (0,) * (kd.l - k - 1), -search_bound)
                 for k in range(kd.l) for sign in (1, -1))
-    box_poly = Polyhedron(build_polytope(kd, phi0).rows + box, kd.l)
     # colex order on the candidates is lex order on their reversed exponents
     flipped = list(zip(*kd.basis.rows[::-1]))
-    best = min(lattice_images(box_poly, flipped, phi0[::-1]), default=None)
+    best = min(lattice_images(Polyhedron(poly.rows + box, kd.l), flipped, phi0[::-1]),
+               default=None)
     if best is None:
         raise RepresentativeNotFound(search_bound, conclusive=False)
     return best[::-1]
+
+
+def _colex(v: Vec) -> Vec:
+    # colex order on exponent vectors is lex order on their reversals
+    return v[::-1]
+
+
+def _box_test(kd: KernelData, phi0: Vec, search_bound: int):
+    """``e -> |z_k| <= search_bound`` for every ``k``, where ``e = phi0 + K z``."""
+    n = kd.basis.nrows
+    m = [list(col) + [int(i == j) for j in range(kd.l)]
+         for i, col in enumerate(kd.basis.transpose().rows)]
+    _, scale, rows = _gauss_jordan(m, n)
+    # m ends as scale * B^-1 @ [K^T | I] with B = K[rows]^T, so the transpose
+    # of its right block is the scaled inverse scale * K[rows]^-1
+    adj = list(zip(*(row[n:] for row in m)))
+    limit = search_bound * abs(scale)
+
+    def inside(e: Vec) -> bool:
+        w = [e[i] - phi0[i] for i in rows]
+        return all(abs(sum(map(mul, row, w))) <= limit for row in adj)
+
+    return inside
 
 
 def _recentre(kd: KernelData, phi0: Vec) -> Vec:

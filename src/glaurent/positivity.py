@@ -96,11 +96,13 @@ def special_matrix(spec: ActionSpec) -> SpecialForm:
 def positivity_test(spec: ActionSpec) -> PositivityVerdict:
     """Decide positivity of the grading, with a certificate either way.
 
-    Pipeline: necessary conditions (more free parameters than Laurent
-    variables; independent Laurent weight columns), block form, the sign
-    chain, and finally the half-space search seeded by the chain.  When no
-    block form exists the decision is a direct half-space search over the
-    rays.
+    A trivial degree-zero lattice (``l = 0``) leaves only the constant
+    monomial of degree zero, so the grading is positive, with no polynomial
+    variable needed.  Otherwise the pipeline is: necessary conditions (more
+    free parameters than Laurent variables, necessary once ``l >= 1``;
+    independent Laurent weight columns), block form, the sign chain, and
+    finally the half-space search seeded by the chain.  When no block form
+    exists the decision is a direct half-space search over the rays.
 
     The chain is read off the first ``p - s`` rows of ``l1``, one step per
     row.  With the rays in the order of ``columns``, the first ``l`` form a
@@ -116,6 +118,8 @@ def positivity_test(spec: ActionSpec) -> PositivityVerdict:
     normal found there comes with the chain as flip set.
     """
     kd = associated_vectors(spec)
+    if kd.l == 0:
+        return PositivityVerdict(True)
     if spec.p <= spec.s:
         return PositivityVerdict(False, failed_condition="p>s")
     if spec.s > 0:

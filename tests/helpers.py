@@ -46,6 +46,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
+from glaurent import components
 from glaurent.components import (
     ComponentDescription,
     FiniteBasis,
@@ -860,6 +861,19 @@ def reference_component(
     return ComponentDescription(a, phi, ModuleGenerators(s0_generators(spec), sa))
 
 
+def inject_representative(monkeypatch, phi: Vec) -> None:
+    """Make ``component`` and ``component_dimension`` take ``phi`` as the
+    representative of the degree they are asked, with the listing that
+    ``find_representative`` itself fills: the exponent vectors of a degree
+    do not depend on the representative."""
+
+    def injected(*args, **kwargs):
+        find_representative(*args, **kwargs)
+        return phi
+
+    monkeypatch.setattr(components, "find_representative", injected)
+
+
 # ---------------------------------------------------------------------------
 # reference completion: a unimodular seed reached by lattice points
 
@@ -975,6 +989,8 @@ def reference_positivity_test(spec: ActionSpec) -> PositivityVerdict:
     """The positivity decision read off :func:`reference_special_matrix`
     through its ``column_map``, with the sign chain indexed as ``l + k``."""
     kd = associated_vectors(spec)
+    if kd.l == 0:
+        return PositivityVerdict(True)
     if spec.p <= spec.s:
         return PositivityVerdict(False, failed_condition="p>s")
     if spec.s > 0:

@@ -18,6 +18,7 @@ from helpers import (
     forms_member,
     identity,
     image_box_points,
+    inject_representative,
     membership_forms,
     random_spec,
     strictly_positive_functional,
@@ -32,7 +33,6 @@ from oracle import (
     nonneg_combination_checker,
 )
 
-from glaurent import components
 from glaurent.components import (
     FiniteBasis,
     ModuleGenerators,
@@ -210,7 +210,7 @@ def test_finite_component_dimensions_match_enumeration():
 
 def component_at(monkeypatch, spec, a, phi):
     """``component`` with its representative search answered by ``phi``."""
-    monkeypatch.setattr(components, "find_representative", lambda *args: phi)
+    inject_representative(monkeypatch, phi)
     desc = component(spec, a)
     assert desc.representative == phi
     return desc

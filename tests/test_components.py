@@ -7,6 +7,7 @@ import random
 import pytest
 from helpers import (
     homogenized_normals,
+    inject_representative,
     is_bounded,
     random_normals,
     random_quotient,
@@ -15,7 +16,12 @@ from helpers import (
     reference_hilbert_by_completion,
     vadd,
 )
-from oracle import nonneg_combination_checker, prune_points
+from oracle import (
+    find_representative_by_box,
+    nonneg_combination_checker,
+    prune_points,
+    representative_candidates_by_box,
+)
 
 from glaurent import components, exactmat, grading, polycone
 from glaurent.components import (
@@ -28,8 +34,16 @@ from glaurent.components import (
     component_dimension,
     s0_generators,
 )
-from glaurent.exactmat import IntMatrix, reduce_mod_lattice
-from glaurent.grading import ActionSpec, DegreeVector, Monomial, associated_vectors, degree
+from glaurent.exactmat import IntMatrix, reduce_mod_lattice, solve_integer
+from glaurent.grading import (
+    ActionSpec,
+    DegreeVector,
+    Monomial,
+    RepresentativeNotFound,
+    _stacked_matrix,
+    associated_vectors,
+    degree,
+)
 from glaurent.polycone import (
     Polyhedron,
     Unbounded,
@@ -297,7 +311,7 @@ class TestFinitenessFromEnumeration:
                 enumerated = False
             assert enumerated == bounded[-1], (spec, phi, p)
         finite, quotient_bounded = bounded
-        monkeypatch.setattr(components, "find_representative", lambda *args: phi)
+        inject_representative(monkeypatch, phi)
         a = degree(spec, phi)
         assert isinstance(component(spec, a).kind, FiniteBasis) == finite, (spec, phi)
         assert (component_dimension(spec, a) is not INFINITE) == finite, (spec, phi)
@@ -372,6 +386,49 @@ class TestComponentDifferential:
         assert seen["module, units, unbounded quotient"] >= 50, seen
         assert seen["torsion"] >= 200, seen
 
+    def test_box_only_picks_the_representative(self):
+        # 600 seeded gradings with weights 1-4 over 3-4 columns, at least 3
+        # of them polynomial (torsion and 1-2 free rows), at degrees of
+        # monomials with exponents 0-3, with search bounds 0-1: a finite
+        # listing often reaches out of the box, or misses it altogether
+        rng = random.Random(2601)
+        seen = collections.Counter()
+        for _ in range(600):
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=1, lo=1, hi=4, min_r=3)
+            exponents = [rng.randint(0, 3) for _ in range(spec.r)]
+            a = degree(spec, exponents + [rng.randint(-2, 2) for _ in range(spec.s)])
+            bound = rng.randint(0, 1)
+            desc = component(spec, a, bound)
+            assert desc == reference_component(spec, a, bound), (spec, a, bound)
+            try:
+                expected = find_representative_by_box(spec, associated_vectors(spec), a, bound)
+            except RepresentativeNotFound:
+                expected = None
+            assert desc.representative == expected, (spec, a, bound)
+            seen[self.box_cut(spec, a, bound, desc)] += 1
+        assert seen["finite, a point outside the box"] >= 50, seen
+        assert seen["bounded, points, none in the box"] >= 20, seen
+
+    @staticmethod
+    def box_cut(spec, a, bound, desc) -> str | None:
+        """Where the search box cuts the listing: a finite component with a
+        point outside the box, or an inconclusive search on a bounded
+        polytope with lattice points, none of them in the box."""
+        kd = associated_vectors(spec)
+        if isinstance(desc.kind, FiniteBasis):
+            inside = representative_candidates_by_box(spec, kd, a, bound)
+            if len(desc.kind.monomials) > len(inside):
+                return "finite, a point outside the box"
+        elif isinstance(desc.kind, NotInQ) and not desc.kind.conclusive:
+            # any particular solution gives the polytope up to a translation
+            sol = solve_integer(_stacked_matrix(spec), a.lift())
+            try:
+                if lattice_points(build_polytope(kd, sol[: spec.n])):
+                    return "bounded, points, none in the box"
+            except Unbounded:
+                pass
+        return None
+
     @staticmethod
     def path(spec, desc) -> str:
         if isinstance(desc.kind, NotInQ):
@@ -387,6 +444,62 @@ class TestComponentDifferential:
         except Unbounded:
             return "module, units, unbounded quotient"
         return "module, units, bounded quotient"
+
+
+class TestOneListing:
+    """A finite component is listed once: the Fourier-Motzkin listing that
+    picks its representative is also its basis and its dimension."""
+
+    UNIT_LINE = spec_of(2, 1, 1, (), [(1, 1, 0)])
+
+    @staticmethod
+    def counted_listings(monkeypatch):
+        calls = collections.Counter()
+        images = polycone.lattice_images
+
+        def counted(*args):
+            calls["lattice_images"] += 1
+            return images(*args)
+
+        # lattice_points reads the module global of polycone
+        for module in (polycone, grading, components):
+            monkeypatch.setattr(module, "lattice_images", counted)
+        return calls
+
+    def test_finite_component_lists_once(self, monkeypatch):
+        calls = self.counted_listings(monkeypatch)
+        rng = random.Random(2600)
+        finite = 0
+        while finite < 40:
+            spec = random_spec(rng, max_n=4, max_p=2, max_t=1, lo=0, hi=3)
+            a = degree(spec, [rng.randint(0, 2) for _ in range(spec.n)])
+            bound = rng.randint(0, 4)
+            calls.clear()
+            desc = component(spec, a, bound)
+            if not isinstance(desc.kind, FiniteBasis):
+                continue
+            finite += 1
+            assert calls["lattice_images"] == 1, (spec, a, bound)
+            calls.clear()
+            assert component_dimension(spec, a, bound) == len(desc.kind.monomials)
+            assert calls["lattice_images"] == 1, (spec, a, bound)
+
+    @pytest.mark.parametrize("spec, listings", [
+        (MIXED, 4),  # no units, unbounded quotient: its region is listed too
+        (UNIT_LINE, 3),  # a unit, bounded quotient
+    ])
+    def test_infinite_component_lists_no_more(self, monkeypatch, spec, listings):
+        # the failing listing, the box search, the quotient and, if the
+        # quotient is unbounded, the region around its core; the dimension
+        # stops after the box search
+        calls = self.counted_listings(monkeypatch)
+        for d in range(4):
+            calls.clear()
+            assert isinstance(component(spec, deg(spec, [d])).kind, ModuleGenerators)
+            assert calls["lattice_images"] == listings, d
+            calls.clear()
+            assert component_dimension(spec, deg(spec, [d])) is INFINITE
+            assert calls["lattice_images"] == 2, d
 
 
 class TestUnitReduction:

@@ -7,6 +7,7 @@ import pytest
 from helpers import identity, random_spec
 from oracle import find_representative_by_box, representative_candidates_by_box
 
+from glaurent import grading
 from glaurent.components import component, component_dimension
 from glaurent.exactmat import DimensionMismatch, IntMatrix, solve_integer
 from glaurent.grading import (
@@ -221,6 +222,28 @@ class TestFindRepresentative:
         assert phi1 == phi2
         assert degree(spec, phi1) == a
 
+    def test_search_alone_lists_only_the_box(self, monkeypatch):
+        # x + y + z at degree 30 has 496 monomials; with bound 0 the box
+        # holds one candidate, and only a caller that asks for the listing
+        # pays for the whole component
+        spec = ActionSpec(3, 0, 1, (), IntMatrix.from_rows([(1, 1, 1)], 3))
+        kd = associated_vectors(spec)
+        a = DegreeVector.from_values(spec, [30])
+        listed = []
+        images = grading.lattice_images
+
+        def counted(*args):
+            for image in images(*args):
+                listed.append(image)
+                yield image
+
+        monkeypatch.setattr(grading, "lattice_images", counted)
+        phi = find_representative(spec, kd, a, 0)
+        assert len(listed) <= 1
+        listing = []
+        assert find_representative(spec, kd, a, 0, listing=listing) == phi
+        assert len(listing) == component_dimension(spec, a) == 496
+
     @pytest.mark.parametrize(
         "bound, error",
         [(-1, ValueError), (-7, ValueError), (2.0, TypeError), (True, TypeError),
@@ -236,6 +259,12 @@ class TestFindRepresentative:
             component(spec, a, search_bound=bound)
         with pytest.raises(error):
             component_dimension(spec, a, search_bound=bound)
+
+
+def find_listed(spec, kd, a, bound):
+    """The representative that ``find_representative`` picks from the whole
+    listing of a bounded polytope."""
+    return find_representative(spec, kd, a, bound, listing=[])
 
 
 def outcome(find, spec, kd, a, bound):
@@ -277,6 +306,7 @@ class TestRepresentativeAgainstBoxScan:
         a = DegreeVector.from_values(spec, values)
         assert outcome(find_representative, spec, kd, a, bound) == expected
         assert outcome(find_representative_by_box, spec, kd, a, bound) == expected
+        assert outcome(find_listed, spec, kd, a, bound) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances(self, seed):
@@ -296,6 +326,7 @@ class TestRepresentativeAgainstBoxScan:
             fm = outcome(find_representative, spec, kd, a, bound)
             box = outcome(find_representative_by_box, spec, kd, a, bound)
             assert fm == box, (spec, a.lift(), bound)
+            assert outcome(find_listed, spec, kd, a, bound) == box, (spec, a.lift(), bound)
             kinds.add(fm[0] if fm[0] == "found" else fm[2])
             ranks.add(kd.l)
             done += 1

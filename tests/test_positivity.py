@@ -8,11 +8,13 @@ import pytest
 from helpers import random_spec, reference_positivity_test, reference_special_matrix
 from oracle import special_matrix_by_scan
 
+from glaurent.components import s0_generators
 from glaurent.exactmat import IntMatrix, dot, rational_rank
 from glaurent.grading import ActionSpec, NotFaithful, associated_vectors
 from glaurent.polycone import rays_in_halfspace
 from glaurent.positivity import (
     BlockFormUnavailable,
+    PositivityVerdict,
     SpecialForm,
     flip_matrix,
     positivity_test,
@@ -162,6 +164,18 @@ class TestVerdicts:
     def test_identity_action_positive(self):
         v = positivity_test(spec_of(2, 0, 2, (), [(1, 0), (0, 1)]))
         assert v.positive
+
+    @pytest.mark.parametrize("r, s, p, rows", [
+        (0, 1, 1, [(1,)]),  # k[x^±1] with weight 1
+        (0, 2, 2, [(1, 0), (1, 1)]),
+    ])
+    def test_trivial_degree_zero_lattice_positive(self, r, s, p, rows):
+        # l = 0: only the constant has degree zero, even with p = s
+        spec = spec_of(r, s, p, (), rows)
+        assert associated_vectors(spec).l == 0
+        v = positivity_test(spec)
+        assert v.positive == (s0_generators(spec) == ())
+        assert v == PositivityVerdict(True)
 
 
 class TestCertificates:
